@@ -7,9 +7,11 @@ Layout:
     <role>.txt     one copy per referenced auxiliary file (vocabularies, merges)
 
 The manifest records a sha256 for the blob and every auxiliary file; loading
-verifies them. Writes go to a sibling temporary directory first and are
-renamed into place, so a crash never leaves a half-written checkpoint under
-the final name.
+verifies them. Writes go to a uniquely named sibling temporary directory
+first and are renamed into place, so a crash never leaves a half-written
+checkpoint under the final name. An existing checkpoint is renamed aside
+and deleted only once the new one is in place; if that rename fails, the
+old one is put back.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,11 +56,33 @@ def save_checkpoint(directory, config: dict, state: dict, tensors: dict, files: 
     for key, value in config.items():
         if "\n" in str(value) or "\t" in str(value):
             raise ContractError(f"config value for {key!r} contains control characters")
-    tmp = directory.with_name(directory.name + ".tmp")
-    if tmp.exists():
-        shutil.rmtree(tmp)
-    tmp.mkdir(parents=True)
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    tmp = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}.tmp")
+    tmp.mkdir()
+    try:
+        _write_contents(tmp, config, state, tensors, files)
+        _swap_in(tmp, directory)
+    finally:
+        if tmp.exists():
+            shutil.rmtree(tmp, ignore_errors=True)
+    return directory
 
+
+def _swap_in(tmp: Path, directory: Path) -> None:
+    if not directory.exists():
+        os.replace(tmp, directory)
+        return
+    old = tmp.with_suffix(".old")
+    os.replace(directory, old)
+    try:
+        os.replace(tmp, directory)
+    except OSError:
+        os.replace(old, directory)
+        raise
+    shutil.rmtree(old)
+
+
+def _write_contents(tmp: Path, config: dict, state: dict, tensors: dict, files: dict) -> None:
     blob_parts, entries, offset = [], [], 0
     for name, arr in tensors.items():
         arr = np.asarray(arr)
@@ -87,11 +112,6 @@ def save_checkpoint(directory, config: dict, state: dict, tensors: dict, files: 
     lines.append("[tensors]")
     lines += entries
     (tmp / MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    if directory.exists():
-        shutil.rmtree(directory)
-    os.replace(tmp, directory)
-    return directory
 
 
 def _parse_manifest(text: str, where: str):

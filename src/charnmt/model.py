@@ -28,6 +28,7 @@ from .numerics import (
     attn_mix,
     concat,
     embed,
+    gru,
     linear,
     log_softmax,
     mul,
@@ -148,13 +149,8 @@ def _zeros(shape, store):
 
 def gru_cell(store: ParameterStore, prefix: str, x: Tensor, h_prev: Tensor) -> Tensor:
     """One GRU update, reset gate applied to h_prev inside the candidate."""
-    r = sigmoid(add(linear(x, store[f"{prefix}.W_reset"]),
-                    affine(h_prev, store[f"{prefix}.U_reset"], store[f"{prefix}.b_reset"])))
-    u = sigmoid(add(linear(x, store[f"{prefix}.W_update"]),
-                    affine(h_prev, store[f"{prefix}.U_update"], store[f"{prefix}.b_update"])))
-    cand = tanh(add(linear(x, store[f"{prefix}.W_cand"]),
-                    affine(mul(r, h_prev), store[f"{prefix}.U_cand"], store[f"{prefix}.b_cand"])))
-    return add(mul(one_minus(u), h_prev), mul(u, cand))
+    return gru(x, h_prev, *(store[f"{prefix}.{kind}_{gate}"]
+                            for kind in ("W", "U", "b") for gate in ("reset", "update", "cand")))
 
 
 @dataclass

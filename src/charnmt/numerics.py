@@ -5,6 +5,12 @@ a node recording its inputs, output and a backward closure. `backward` walks
 the tape once in reverse and returns a gradient for every named parameter in
 the graph's `ParameterStore`.
 
+Most primitives are single operations. `gru` is the exception: a whole GRU
+cell fused into one node with a hand-written backward, because a cell built
+from single operations records about 15 nodes and the recurrent loops spend
+most of their time in that bookkeeping. The composite cell it must agree
+with is kept in the test suite (`tests/conftest.py`) as the oracle.
+
 Two precision modes exist: "wide" (float64, for gradient checks) and "narrow"
 (float32, default for training). A graph is pinned to one mode; mixing dtypes
 inside a graph is an error. Outside any active graph the same primitives run
@@ -117,12 +123,6 @@ class ParameterStore:
     def n_values(self) -> int:
         return sum(t.data.size for t in self._tensors.values())
 
-    def snapshot(self) -> "ParameterStore":
-        copy = ParameterStore(self.precision)
-        for name, t in self._tensors.items():
-            copy.add(name, t.data.copy())
-        return copy
-
 
 class _Node:
     __slots__ = ("op", "inputs", "output", "grad_fn")
@@ -228,14 +228,13 @@ def tanh(x: Tensor) -> Tensor:
     return _record("tanh", (x,), y, lambda dy: (dy * (1.0 - y * y),))
 
 
+def _sigmoid(d):
+    # tanh form: cannot overflow, and saturates exactly at 0 and 1.
+    return 0.5 * np.tanh(0.5 * d) + 0.5
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    # Split form avoids overflow for large |x| and saturates exactly at 0/1.
-    d = x.data
-    y = np.empty_like(d)
-    pos = d >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    y = _sigmoid(x.data)
     return _record("sigmoid", (x,), y, lambda dy: (dy * y * (1.0 - y),))
 
 
@@ -401,6 +400,53 @@ def sum_all(x: Tensor) -> Tensor:
     y = x.data.sum()
     return _record("sum", (x,), np.asarray(y, dtype=x.data.dtype),
                    lambda dy: (np.broadcast_to(dy, x.shape).astype(x.data.dtype),))
+
+
+def gru(x: Tensor, h: Tensor, W_r: Tensor, W_u: Tensor, W_c: Tensor,
+        U_r: Tensor, U_u: Tensor, U_c: Tensor,
+        b_r: Tensor, b_u: Tensor, b_c: Tensor) -> Tensor:
+    """One GRU update (Cho et al. 2014) recorded as a single tape node.
+
+        r = sigmoid(x W_r + h U_r + b_r)        (reset gate)
+        u = sigmoid(x W_u + h U_u + b_u)        (update gate)
+        cand = tanh(x W_c + (r * h) U_c + b_c)
+        out = (1 - u) * h + u * cand
+
+    x is (B, n) and h is (B, d); W_* are (n, d), U_* (d, d), b_* (d,). A
+    closed update gate (u == 0) returns h bit-for-bit.
+    """
+    xd, hd = x.data, h.data
+    if xd.ndim != 2 or hd.ndim != 2 or len(xd) != len(hd):
+        raise DimensionError(f"gru: input {x.shape} and state {h.shape} are not (B, n) and (B, d)")
+    n, d = xd.shape[1], hd.shape[1]
+    for t, shape in ((W_r, (n, d)), (W_u, (n, d)), (W_c, (n, d)),
+                     (U_r, (d, d)), (U_u, (d, d)), (U_c, (d, d)),
+                     (b_r, (d,)), (b_u, (d,)), (b_c, (d,))):
+        if t.shape != shape:
+            raise DimensionError(
+                f"gru: weight {t.shape} does not conform with input {x.shape} and state {h.shape}"
+            )
+    r = _sigmoid(xd @ W_r.data + (hd @ U_r.data + b_r.data))
+    u = _sigmoid(xd @ W_u.data + (hd @ U_u.data + b_u.data))
+    rh = r * hd
+    cand = np.tanh(xd @ W_c.data + (rh @ U_c.data + b_c.data))
+    keep = 1.0 - u
+    y = keep * hd + u * cand
+
+    def grad(dy):
+        da_c = dy * u * (1.0 - cand * cand)
+        da_u = dy * (cand - hd) * u * keep
+        drh = da_c @ U_c.data.T
+        da_r = drh * hd * r * (1.0 - r)
+        dx = da_r @ W_r.data.T + da_u @ W_u.data.T + da_c @ W_c.data.T
+        dh = dy * keep + drh * r + da_r @ U_r.data.T + da_u @ U_u.data.T
+        xT, hT = xd.T, hd.T
+        return (dx, dh,
+                xT @ da_r, xT @ da_u, xT @ da_c,
+                hT @ da_r, hT @ da_u, rh.T @ da_c,
+                da_r.sum(axis=0), da_u.sum(axis=0), da_c.sum(axis=0))
+
+    return _record("gru", (x, h, W_r, W_u, W_c, U_r, U_u, U_c, b_r, b_u, b_c), y, grad)
 
 
 def backward(graph: Graph, loss: Tensor) -> dict[str, Tensor]:

@@ -2,11 +2,12 @@
 checkpointing, and validation-driven model selection.
 
 The loop is: batch -> teacher-forced mean NLL -> backward -> global-norm
-clip -> bias-corrected Adam step. Every validation interval a parameter
-snapshot is scored on the dev set (mean NLL plus greedy-decode BLEU); the
-best-by-dev-NLL checkpoint is kept alongside the latest. Each epoch
-reshuffles with seed+epoch so an interrupted run can resume mid-epoch and
-see the identical batch sequence.
+clip -> bias-corrected Adam step. A non-finite loss or gradient norm stops
+the run before the step touches the parameters. Every validation interval
+the current parameters are scored on the dev set (mean NLL plus
+greedy-decode BLEU); the best-by-dev-NLL checkpoint is kept alongside the
+latest. Each epoch reshuffles with seed+epoch so an interrupted run can
+resume mid-epoch and see the identical batch sequence.
 """
 
 from __future__ import annotations
@@ -388,22 +389,21 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
             batch, cur_epoch, cur_index, position = next(stream)
             with Graph(store) as graph:
                 loss = batch_nll(model, batch)
+            where = f"at step {opt.step + 1} (epoch {cur_epoch}, batch {cur_index})"
             loss_value = float(loss.data)
             if not math.isfinite(loss_value):
-                raise NonFiniteError(
-                    f"non-finite training loss at step {opt.step + 1} "
-                    f"(epoch {cur_epoch}, batch {cur_index})"
-                )
+                raise NonFiniteError(f"non-finite training loss {where}")
             grads = {k: t.data for k, t in backward(graph, loss).items()}
             grads, grad_norm = clip_gradients(grads, train_config.clip)
+            if not math.isfinite(grad_norm):
+                raise NonFiniteError(f"non-finite gradient norm {where}")
             adam_step(store, grads, opt, train_config)
 
             dev_nll = dev_bleu = None
             if opt.step % train_config.validate_every == 0:
-                snapshot = Model(model_config, store.snapshot())
-                dev_nll = _dev_nll(snapshot, dev_batches)
+                dev_nll = _dev_nll(model, dev_batches)
                 dev_bleu = greedy_corpus_bleu(
-                    snapshot, dev_src_lines, dev_ref_lines, src_vocab, merges,
+                    model, dev_src_lines, dev_ref_lines, src_vocab, merges,
                     tgt_vocab, train_config.target_unit,
                     chunk=train_config.batch_size,
                 )

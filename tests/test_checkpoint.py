@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import charnmt.checkpoint as checkpoint_mod
 from charnmt.checkpoint import (
     BLOB_NAME,
     MANIFEST_NAME,
@@ -49,6 +50,26 @@ class TestRoundTrip:
         save_checkpoint(out, config, state2, tensors, files)
         assert load_checkpoint(out).state["step"] == 13
         assert not out.with_name("ckpt.tmp").exists()
+
+    def test_failed_swap_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        config, state, tensors, files = _sample(tmp_path)
+        out = tmp_path / "ckpt"
+        save_checkpoint(out, config, state, tensors, files)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        real_replace, calls = checkpoint_mod.os.replace, []
+
+        def failing_replace(src, dst):
+            calls.append((src, dst))
+            if len(calls) == 2:  # moving the new checkpoint in
+                raise OSError("rename failed")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(checkpoint_mod.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            save_checkpoint(out, config, dict(state, step=13), tensors, files)
+        assert calls[0][0] == out and calls[1][1] == out
+        assert load_checkpoint(out).state["step"] == 12
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_float_state_round_trip(self, tmp_path):
         config, state, tensors, files = _sample(tmp_path)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from charnmt import model as model_mod
 from charnmt.errors import ConfigError, ContractError, VocabularyError
 from charnmt.model import (
     AttentionOutput,
@@ -21,9 +22,10 @@ from charnmt.model import (
     output_log_probs,
     sequence_log_prob,
 )
-from charnmt.numerics import Graph, ParameterStore, mul_const, scale, sum_all, tensor
+from charnmt.numerics import Graph, ParameterStore, add, backward, mul_const, scale, sum_all, tensor
 from charnmt.textpipe import BOS_ID, EOS_ID
 
+from conftest import assert_arrays_close, composite_gru_cell
 from fdcheck import assert_grads_close, finite_difference_grads
 
 WIDE = dict(precision="wide")
@@ -103,6 +105,64 @@ class TestGruCell:
         cand = np.tanh(x @ w("W_cand") + (r * h) @ w("U_cand") + w("b_cand"))
         out = gru_cell(store, "g", tensor(x, "wide"), tensor(h, "wide"))
         np.testing.assert_allclose(out.data, cand, atol=1e-15)
+
+
+class TestFusedGruMatchesComposite:
+    """float64 agreement of the fused cell with the composite oracle."""
+
+    @staticmethod
+    def _store(rng, batch, d_in, d):
+        store = ParameterStore("wide")
+        for gate in ("reset", "update", "cand"):
+            store.add(f"g.W_{gate}", rng.normal(size=(d_in, d)))
+            store.add(f"g.U_{gate}", rng.normal(size=(d, d)) / np.sqrt(d))
+            store.add(f"g.b_{gate}", rng.normal(size=d))
+        store.add("x", rng.normal(size=(batch, d_in)))
+        store.add("h", np.tanh(rng.normal(size=(batch, d))))
+        return store
+
+    @staticmethod
+    def _run(cell, store, probe):
+        with Graph(store) as g:
+            out = cell(store, "g", store["x"], store["h"])
+            loss = sum_all(mul_const(out, probe))
+        return out.data, {k: t.data for k, t in backward(g, loss).items()}, g
+
+    @pytest.mark.parametrize("batch,d_in,d", [(1, 7, 5), (32, 7, 5), (32, 48, 64)])
+    def test_output_and_every_gradient(self, batch, d_in, d):
+        rng = np.random.default_rng(batch * 100 + d_in)
+        store = self._store(rng, batch, d_in, d)
+        probe = rng.normal(size=(batch, d))
+        out, grads, graph = self._run(gru_cell, store, probe)
+        ref_out, ref_grads, _ = self._run(composite_gru_cell, store, probe)
+        assert [node.op for node in graph.nodes] == ["gru", "mul_const", "sum"]
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-10)
+        assert len(ref_grads) == 11 and all(np.any(g != 0.0) for g in ref_grads.values())
+        assert_arrays_close(grads, ref_grads)
+
+    def test_masked_encoder_chain(self, monkeypatch):
+        m = tiny_model(21)  # d_emb 4 != d_enc 5
+        rng = np.random.default_rng(21)
+        source = rng.integers(4, 11, size=(3, 6))
+        lengths = np.array([6, 3, 1])
+        probe_ann = rng.normal(size=(3, 6, 10))
+        probe_head = rng.normal(size=(3, 5))
+
+        def run():
+            with Graph(m.store) as g:
+                ctx = encode(m.store, m.config, source, lengths)
+                loss = add(sum_all(mul_const(ctx.annotations, probe_ann)),
+                           sum_all(mul_const(ctx.backward_head, probe_head)))
+            grads = {k: t.data for k, t in backward(g, loss).items()}
+            return ctx.annotations.data, ctx.backward_head.data, grads
+
+        ann, head, grads = run()
+        monkeypatch.setattr(model_mod, "gru_cell", composite_gru_cell)
+        ref_ann, ref_head, ref_grads = run()
+        np.testing.assert_allclose(ann, ref_ann, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(head, ref_head, rtol=0, atol=1e-10)
+        assert np.any(ref_grads["enc_bw.U_reset"] != 0.0)
+        assert_arrays_close(grads, ref_grads)
 
 
 class TestEncode:

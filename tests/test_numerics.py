@@ -202,6 +202,11 @@ def _primitive_cases():
     case("reshape", {"x": _rand(rng, 2, 6)}, lambda s: nm.reshape(s["x"], (3, 4)))
     case("mul_const", {"x": _rand(rng, 3, 4)},
          lambda s: nm.mul_const(s["x"], np.linspace(0.5, 2.0, 4)))
+    gru_inputs = {"x": _rand(rng, 3, 4), "h": _rand(rng, 3, 5)}
+    for kind, shape in (("W", (4, 5)), ("U", (5, 5)), ("b", (5,))):
+        for gate in ("r", "u", "c"):
+            gru_inputs[f"{kind}_{gate}"] = _rand(rng, *shape)
+    case("gru", gru_inputs, lambda s: nm.gru(*(s[name] for name in gru_inputs)))
     return cases
 
 
@@ -291,11 +296,3 @@ def test_debug_checks_flag_non_finite():
             nm.mul_const(nm.tensor([1.0], "wide"), np.array([np.inf]))
     finally:
         nm.debug_checks(False)
-
-
-def test_store_snapshot_is_independent():
-    store = nm.ParameterStore("narrow")
-    store.add("w", np.ones(3))
-    snap = store.snapshot()
-    store.assign("w", np.zeros(3))
-    assert np.all(snap["w"].data == 1.0)

@@ -1,16 +1,18 @@
 """Trainer tests: loss masking, clipping, Adam, and the end-to-end loop."""
 
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import charnmt.model as model_mod
 import charnmt.trainer as trainer_mod
 from charnmt.checkpoint import load_checkpoint
 from charnmt.errors import ConfigError, ConsistencyError, ContractError, NonFiniteError
 from charnmt.model import ModelConfig
-from charnmt.numerics import ParameterStore
+from charnmt.numerics import Graph, ParameterStore, backward
 from charnmt.textpipe import (
     BOS_ID,
     EOS_ID,
@@ -34,7 +36,7 @@ from charnmt.trainer import (
     train,
 )
 
-from conftest import small_model
+from conftest import assert_arrays_close, composite_gru_cell, small_model
 
 
 def hand_batch(src_rows, tgt_rows) -> Batch:
@@ -103,6 +105,43 @@ class TestBatchNll:
         )
         total = float(batch_nll(m, short).data) * 2 + float(batch_nll(m, long).data) * 4
         np.testing.assert_allclose(float(batch_nll(m, both).data), total / 6, rtol=1e-10)
+
+
+class TestFusedGruStep:
+    BATCH = hand_batch(
+        [[4, 5, 6, EOS_ID], [7, EOS_ID]],
+        [[BOS_ID, 4, 5, EOS_ID], [BOS_ID, 6, EOS_ID]],
+    )
+
+    def test_base_step_records_one_gru_node_per_cell(self, monkeypatch):
+        m = small_model(3)
+        real, prefixes = model_mod.gru_cell, []
+
+        def counted(store, prefix, x, h):
+            prefixes.append(prefix)
+            return real(store, prefix, x, h)
+
+        monkeypatch.setattr(model_mod, "gru_cell", counted)
+        with Graph(m.store) as graph:
+            batch_nll(m, self.BATCH)
+        ops = Counter(node.op for node in graph.nodes)
+        # 4 source positions per direction, 3 target steps per decoder layer
+        assert Counter(prefixes) == {"enc_fw": 4, "enc_bw": 4, "dec1": 3, "dec2": 3}
+        assert ops["gru"] == len(prefixes)
+        assert ops["sigmoid"] == 0
+
+    def test_base_step_gradients_match_composite(self, monkeypatch):
+        def step():
+            m = small_model(4)
+            with Graph(m.store) as graph:
+                loss = batch_nll(m, self.BATCH)
+            return float(loss.data), {k: t.data for k, t in backward(graph, loss).items()}
+
+        loss, grads = step()
+        monkeypatch.setattr(model_mod, "gru_cell", composite_gru_cell)
+        ref_loss, ref_grads = step()
+        assert abs(loss - ref_loss) < 1e-10
+        assert_arrays_close(grads, ref_grads)
 
 
 class TestClipping:
@@ -353,6 +392,32 @@ class TestTrainLoop:
         monkeypatch.setattr(trainer_mod, "batch_nll", poisoned)
         with pytest.raises(NonFiniteError, match=r"step 2 \(epoch 0, batch 1\)"):
             train(mc, tc, run)
+
+    def test_non_finite_gradient_aborts_before_update(self, corpus, tmp_path,
+                                                      monkeypatch):
+        paths, n_src, n_tgt = corpus
+        mc, tc = tiny_configs(n_src, n_tgt, max_steps=5, validate_every=100)
+        run = TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "run"})
+        real = trainer_mod.backward
+        seen = {"n": 0}
+
+        def poisoned(graph, loss):
+            seen["n"] += 1
+            grads = real(graph, loss)
+            if seen["n"] == 2:
+                seen["store"] = graph.store
+                seen["before"] = {k: t.data.copy() for k, t in graph.store.items()}
+                grads["dec2.U_cand"].data[0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(trainer_mod, "backward", poisoned)
+        with pytest.raises(NonFiniteError,
+                           match=r"gradient norm at step 2 \(epoch 0, batch 1\)"):
+            train(mc, tc, run)
+        after = seen["store"]
+        assert after.names() == list(seen["before"])
+        for name, value in seen["before"].items():
+            assert np.array_equal(after[name].data, value), name
 
     def test_single_batch_overfit_drops_loss(self, corpus, tmp_path):
         paths, n_src, n_tgt = corpus
