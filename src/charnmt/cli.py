@@ -35,16 +35,12 @@ def _read_lines(path) -> list[str]:
     return Path(path).read_text(encoding="utf-8").splitlines()
 
 
-def _write_atomic(path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _replace_into(path, write) -> None:
-    """Run `write(tmp_path)` then atomically rename the result into place."""
+    """Run `write(tmp_path)` then atomically rename the result into place.
+    `write` may instead be the text to write."""
+    if isinstance(write, str):
+        text = write
+        write = lambda tmp: tmp.write_text(text, encoding="utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -109,9 +105,9 @@ def cmd_translate(args) -> int:
         first.train_config.target_unit, width=args.beam, max_len=args.max_len,
         length_normalize=args.length_normalize,
     )
-    _write_atomic(args.output, "".join(t + "\n" for t in result.texts))
+    _replace_into(args.output, "".join(t + "\n" for t in result.texts))
     if args.dump_align is not None:
-        _write_atomic(args.dump_align, alignment_blocks(result, first.tgt_vocab))
+        _replace_into(args.dump_align, alignment_blocks(result, first.tgt_vocab))
     print(f"translated {len(lines)} lines -> {args.output}")
     return 0
 
@@ -154,7 +150,7 @@ def cmd_align(args) -> int:
         _, _, align = sequence_log_prob(tm.model, src_ids, tgt_ids)
         blocks.append(format_alignment_block(
             src_syms + [eos_src], tgt_syms + [eos_tgt], align))
-    _write_atomic(args.output, "\n\n".join(blocks) + ("\n" if blocks else ""))
+    _replace_into(args.output, "\n\n".join(blocks) + ("\n" if blocks else ""))
     print(f"aligned {len(pairs)} pairs -> {args.output}")
     return 0
 

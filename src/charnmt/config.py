@@ -8,20 +8,17 @@ keys are rejected so typos fail loudly instead of training the wrong model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .model import ModelConfig
 from .textpipe import Vocabulary
-from .trainer import _MODEL_TYPES, _TRAIN_TYPES, TrainConfig, TrainPaths, _coerce
+from .trainer import TrainConfig, TrainPaths, typed_config
 
-PATH_KEYS = (
-    "train_source", "train_target", "dev_source", "dev_target",
-    "src_vocab", "tgt_vocab", "merges", "out_dir",
-)
+PATH_KEYS = tuple(f.name for f in fields(TrainPaths))
 _OPTIONAL_KEYS = ("resume",)
-KNOWN_KEYS = frozenset(_MODEL_TYPES) | frozenset(_TRAIN_TYPES) \
+KNOWN_KEYS = frozenset(f.name for cls in (ModelConfig, TrainConfig) for f in fields(cls)) \
     | frozenset(PATH_KEYS) | frozenset(_OPTIONAL_KEYS)
 
 # inputs that must exist before any work starts; out_dir is created on demand
@@ -63,10 +60,6 @@ def parse_overrides(tokens) -> dict[str, str]:
     return values
 
 
-def serialize_config(values: dict[str, str]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in values.items())
-
-
 @dataclass
 class RunConfig:
     """Merged key/value view of one training run."""
@@ -101,19 +94,12 @@ class RunConfig:
         if resume is not None and not resume.is_dir():
             raise ConfigError(f"resume: no such checkpoint directory {resume}")
 
-        train_kw = {
-            k: _coerce(self.values[k], t)
-            for k, t in _TRAIN_TYPES.items() if k in self.values
-        }
-        train_config = TrainConfig(**train_kw)
-        model_kw = {
-            k: _coerce(self.values[k], t)
-            for k, t in _MODEL_TYPES.items() if k in self.values
-        }
-        if "src_vocab_size" not in model_kw:
-            model_kw["src_vocab_size"] = len(Vocabulary.load(paths.src_vocab, "subword"))
-        if "tgt_vocab_size" not in model_kw:
-            model_kw["tgt_vocab_size"] = len(
-                Vocabulary.load(paths.tgt_vocab, train_config.target_unit))
-        model_config = ModelConfig(**model_kw)
+        train_config = typed_config(TrainConfig, self.values)
+        model_values = dict(self.values)
+        if "src_vocab_size" not in model_values:
+            model_values["src_vocab_size"] = str(len(Vocabulary.load(paths.src_vocab, "subword")))
+        if "tgt_vocab_size" not in model_values:
+            model_values["tgt_vocab_size"] = str(len(
+                Vocabulary.load(paths.tgt_vocab, train_config.target_unit)))
+        model_config = typed_config(ModelConfig, model_values)
         return model_config, train_config, paths, resume

@@ -38,7 +38,6 @@ class Hypothesis:
 
     tokens: list[int]  # emitted target ids; ends with EOS iff finished
     score: float  # sum of the chosen per-step log-probabilities
-    states: list  # decoder state per ensemble member
     alignments: list[np.ndarray]  # one source-weight row per emitted token
     finished: bool = False
     truncated: bool = False
@@ -155,7 +154,6 @@ def greedy_decode(models, source, lengths=None, max_len: int = 100) -> list[Hypo
         Hypothesis(
             tokens=tokens[i],
             score=float(scores[i]),
-            states=[_select_state_rows(s, [i]) for s in states],
             alignments=aligns[i],
             finished=True,
             truncated=bool(truncated[i]),
@@ -222,7 +220,6 @@ def beam_search(models, source, width: int, max_len: int,
             if tok == EOS_ID:
                 pool.append(Hypothesis(
                     tokens=toks, score=score,
-                    states=[_select_state_rows(s, [h]) for s in stepped],
                     alignments=als, finished=True,
                 ))
             else:
@@ -247,12 +244,11 @@ def beam_search(models, source, width: int, max_len: int,
     if live_tokens:
         n = len(live_tokens)
         y_prev = np.array([t[-1] for t in live_tokens])
-        avg, alpha, stepped = _ensemble_step(models, ctxs, states, y_prev, n)
+        avg, alpha, _ = _ensemble_step(models, ctxs, states, y_prev, n)
         for i in range(n):
             pool.append(Hypothesis(
                 tokens=live_tokens[i] + [EOS_ID],
                 score=float(live_scores[i] + avg[i, EOS_ID]),
-                states=[_select_state_rows(s, [i]) for s in stepped],
                 alignments=live_aligns[i] + [alpha[i].copy()],
                 finished=True, truncated=True,
             ))

@@ -14,7 +14,7 @@ gradients; without one they compute forward values only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,12 +81,9 @@ class ModelConfig:
     def output_width(self) -> int:
         return self.d_dec * (2 if self.decoder == "biscale" else 1)
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-
-def _orthogonal(rng, n):
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+def _orthogonal(rng, shape):
+    q, r = np.linalg.qr(rng.standard_normal(shape))
     return q * np.sign(np.diag(r))
 
 
@@ -95,42 +92,61 @@ def _uniform(rng, shape):
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _add_gru(store, rng, prefix, d_in, d_state):
-    for gate in ("reset", "update", "cand"):
-        store.add(f"{prefix}.W_{gate}", _uniform(rng, (d_in, d_state)))
-        store.add(f"{prefix}.U_{gate}", _orthogonal(rng, d_state))
-        store.add(f"{prefix}.b_{gate}", np.zeros(d_state))
+def _zero(rng, shape):
+    return np.zeros(shape)
+
+
+def _gru_spec(prefix, d_in, d_state):
+    return [entry for gate in ("reset", "update", "cand") for entry in (
+        (f"{prefix}.W_{gate}", (d_in, d_state), _uniform),
+        (f"{prefix}.U_{gate}", (d_state, d_state), _orthogonal),
+        (f"{prefix}.b_{gate}", (d_state,), _zero),
+    )]
+
+
+def param_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], object]]:
+    """Every parameter of one model as (name, shape, init), in creation order.
+
+    `init(rng, shape)` draws the initial array; the order fixes which random
+    numbers each parameter receives, so it is part of the seed contract.
+    """
+    c = config
+    spec = [
+        ("src_emb", (c.src_vocab_size, c.d_emb), _uniform),
+        ("tgt_emb", (c.tgt_vocab_size, c.d_emb), _uniform),
+        *_gru_spec("enc_fw", c.d_emb, c.d_enc),
+        *_gru_spec("enc_bw", c.d_emb, c.d_enc),
+        ("dec_init.W", (c.d_enc, c.d_dec), _uniform),
+        ("dec_init.b", (c.d_dec,), _zero),
+        ("att.W_emb", (c.d_emb, c.d_att), _uniform),
+        ("att.W_query", (c.query_width(), c.d_att), _uniform),
+        ("att.W_key", (2 * c.d_enc, c.d_att), _uniform),
+        ("att.b", (c.d_att,), _zero),
+        ("att.v", (c.d_att, 1), _uniform),
+    ]
+    if c.decoder == "base":
+        spec += _gru_spec("dec1", c.d_emb + 2 * c.d_enc, c.d_dec)
+        spec += _gru_spec("dec2", c.d_dec, c.d_dec)
+    else:
+        d_in1 = c.d_emb + 2 * c.d_dec + 2 * c.d_enc
+        d_in2 = 2 * c.d_dec + 2 * c.d_enc
+        for name, d_in in (("h1", d_in1), ("g1", d_in1), ("h2", d_in2), ("g2", d_in2)):
+            spec += [(f"bi.W_{name}", (d_in, c.d_dec), _uniform),
+                     (f"bi.b_{name}", (c.d_dec,), _zero)]
+    return spec + [
+        ("out.W_hidden", (c.d_emb + c.output_width() + 2 * c.d_enc, c.d_dec), _uniform),
+        ("out.b_hidden", (c.d_dec,), _zero),
+        ("out.W_logit", (c.d_dec, c.tgt_vocab_size), _uniform),
+        ("out.b_logit", (c.tgt_vocab_size,), _zero),
+    ]
 
 
 def init_params(config: ModelConfig, seed: int) -> ParameterStore:
     """Seed-deterministic parameter construction for one model."""
     rng = np.random.default_rng(seed)
     store = ParameterStore(config.precision)
-    c = config
-    store.add("src_emb", _uniform(rng, (c.src_vocab_size, c.d_emb)))
-    store.add("tgt_emb", _uniform(rng, (c.tgt_vocab_size, c.d_emb)))
-    _add_gru(store, rng, "enc_fw", c.d_emb, c.d_enc)
-    _add_gru(store, rng, "enc_bw", c.d_emb, c.d_enc)
-    store.add("dec_init.W", _uniform(rng, (c.d_enc, c.d_dec)))
-    store.add("dec_init.b", np.zeros(c.d_dec))
-    store.add("att.W_emb", _uniform(rng, (c.d_emb, c.d_att)))
-    store.add("att.W_query", _uniform(rng, (c.query_width(), c.d_att)))
-    store.add("att.W_key", _uniform(rng, (2 * c.d_enc, c.d_att)))
-    store.add("att.b", np.zeros(c.d_att))
-    store.add("att.v", _uniform(rng, (c.d_att, 1)))
-    if c.decoder == "base":
-        _add_gru(store, rng, "dec1", c.d_emb + 2 * c.d_enc, c.d_dec)
-        _add_gru(store, rng, "dec2", c.d_dec, c.d_dec)
-    else:
-        d_in1 = c.d_emb + 2 * c.d_dec + 2 * c.d_enc
-        d_in2 = 2 * c.d_dec + 2 * c.d_enc
-        for name, d_in in (("h1", d_in1), ("g1", d_in1), ("h2", d_in2), ("g2", d_in2)):
-            store.add(f"bi.W_{name}", _uniform(rng, (d_in, c.d_dec)))
-            store.add(f"bi.b_{name}", np.zeros(c.d_dec))
-    store.add("out.W_hidden", _uniform(rng, (c.d_emb + c.output_width() + 2 * c.d_enc, c.d_dec)))
-    store.add("out.b_hidden", np.zeros(c.d_dec))
-    store.add("out.W_logit", _uniform(rng, (c.d_dec, c.tgt_vocab_size)))
-    store.add("out.b_logit", np.zeros(c.tgt_vocab_size))
+    for name, shape, init in param_spec(config):
+        store.add(name, init(rng, shape))
     return store
 
 
@@ -251,68 +267,14 @@ class BiScaleState:
     h2_carried: Tensor
 
 
-def _base_step(store, y_emb, state, c):
-    h1 = gru_cell(store, "dec1", concat([y_emb, c]), state.h1)
-    h2 = gru_cell(store, "dec2", h1, state.h2)
-    return BaseDecoderState(h1, h2)
-
-
-def _biscale_step(store, y_emb, state, c):
-    ins1 = concat([y_emb, state.h1_carried, state.h2_feedback, c])
-    h1 = tanh(affine(ins1, store["bi.W_h1"], store["bi.b_h1"]))
-    g1 = sigmoid(affine(ins1, store["bi.W_g1"], store["bi.b_g1"]))
-    reset = mul(g1, h1)
-    ins2 = concat([reset, state.h2_carried, c])
-    cand = tanh(affine(ins2, store["bi.W_h2"], store["bi.b_h2"]))
-    h2 = add(mul(one_minus(g1), state.h2), mul(g1, cand))
-    g2 = sigmoid(affine(ins2, store["bi.W_g2"], store["bi.b_g2"]))
-    return BiScaleState(
-        h1=h1, h2=h2, g1=g1, g2=g2, cand=cand,
-        h1_carried=mul(one_minus(g1), h1),
-        h2_feedback=mul(g1, h2),
-        h2_carried=mul(one_minus(g2), h2),
-    )
-
-
-def base_step(store: ParameterStore, config: ModelConfig, y_prev, state: BaseDecoderState,
-              c: Tensor) -> BaseDecoderState:
-    """Stacked update: layer 1 reads [e_y(y_prev); c], layer 2 reads layer 1."""
-    _check_ids(y_prev, config.tgt_vocab_size, "target")
-    return _base_step(store, embed(store["tgt_emb"], np.asarray(y_prev)), state, c)
-
-
-def biscale_step(store: ParameterStore, config: ModelConfig, y_prev, state: BiScaleState,
-                 c: Tensor) -> BiScaleState:
-    """Two-timescale update.
-
-    The faster layer h1 reads the previous symbol, its own reset-gated past,
-    the slower layer's gated feedback, and the context. The slower layer h2
-    leak-integrates a candidate, moving only where the faster layer's gate
-    g1 opens (i.e. where the faster layer is about to reset itself).
-    """
-    _check_ids(y_prev, config.tgt_vocab_size, "target")
-    return _biscale_step(store, embed(store["tgt_emb"], np.asarray(y_prev)), state, c)
-
-
-def output_log_probs(store: ParameterStore, config: ModelConfig, y_prev, dec_out: Tensor,
-                     c: Tensor) -> Tensor:
-    """Log-probabilities over the target vocabulary for the next symbol."""
-    _check_ids(y_prev, config.tgt_vocab_size, "target")
-    y_emb = embed(store["tgt_emb"], np.asarray(y_prev))
-    return _output_log_probs(store, y_emb, dec_out, c)
-
-
 def _output_log_probs(store, y_emb, dec_out, c):
+    """Log-probabilities over the target vocabulary for the next symbol."""
     hidden = tanh(affine(concat([y_emb, dec_out, c]), store["out.W_hidden"], store["out.b_hidden"]))
     return log_softmax(affine(hidden, store["out.W_logit"], store["out.b_logit"]))
 
 
-class _BaseDecoder:
-    kind = "base"
-
-    def initial_state(self, store, ctx):
-        h1 = tanh(affine(ctx.backward_head, store["dec_init.W"], store["dec_init.b"]))
-        return BaseDecoderState(h1=h1, h2=_zeros(h1.shape, store))
+class _Decoder:
+    """Both decoder kinds keep a faster state h1 and a slower state h2."""
 
     def query(self, state, mode):
         if mode == "faster":
@@ -321,14 +283,25 @@ class _BaseDecoder:
             return state.h2
         return concat([state.h1, state.h2])
 
+
+class _BaseDecoder(_Decoder):
+    kind = "base"
+
+    def initial_state(self, store, ctx):
+        h1 = tanh(affine(ctx.backward_head, store["dec_init.W"], store["dec_init.b"]))
+        return BaseDecoderState(h1=h1, h2=_zeros(h1.shape, store))
+
     def step(self, store, y_emb, state, c):
-        return _base_step(store, y_emb, state, c)
+        """Stacked update: layer 1 reads [e_y(y_prev); c], layer 2 reads layer 1."""
+        h1 = gru_cell(store, "dec1", concat([y_emb, c]), state.h1)
+        h2 = gru_cell(store, "dec2", h1, state.h2)
+        return BaseDecoderState(h1, h2)
 
     def output_vector(self, state):
         return state.h2
 
 
-class _BiScaleDecoder:
+class _BiScaleDecoder(_Decoder):
     kind = "biscale"
 
     def initial_state(self, store, ctx):
@@ -339,15 +312,29 @@ class _BiScaleDecoder:
             h1_carried=zero, h2_feedback=zero, h2_carried=h2,
         )
 
-    def query(self, state, mode):
-        if mode == "faster":
-            return state.h1
-        if mode == "slower":
-            return state.h2
-        return concat([state.h1, state.h2])
-
     def step(self, store, y_emb, state, c):
-        return _biscale_step(store, y_emb, state, c)
+        """Two-timescale update.
+
+        The faster layer h1 reads the previous symbol, its own reset-gated
+        past, the slower layer's gated feedback, and the context. The slower
+        layer h2 leak-integrates a candidate, moving only where the faster
+        layer's gate g1 opens (i.e. where the faster layer is about to reset
+        itself).
+        """
+        ins1 = concat([y_emb, state.h1_carried, state.h2_feedback, c])
+        h1 = tanh(affine(ins1, store["bi.W_h1"], store["bi.b_h1"]))
+        g1 = sigmoid(affine(ins1, store["bi.W_g1"], store["bi.b_g1"]))
+        reset = mul(g1, h1)
+        ins2 = concat([reset, state.h2_carried, c])
+        cand = tanh(affine(ins2, store["bi.W_h2"], store["bi.b_h2"]))
+        h2 = add(mul(one_minus(g1), state.h2), mul(g1, cand))
+        g2 = sigmoid(affine(ins2, store["bi.W_g2"], store["bi.b_g2"]))
+        return BiScaleState(
+            h1=h1, h2=h2, g1=g1, g2=g2, cand=cand,
+            h1_carried=mul(one_minus(g1), h1),
+            h2_feedback=mul(g1, h2),
+            h2_carried=mul(one_minus(g2), h2),
+        )
 
     def output_vector(self, state):
         return concat([state.h1, state.h2])
@@ -426,12 +413,7 @@ def sequence_log_prob(model: Model, source, target):
     target = np.asarray(target)
     if source.size == 0 or target.size == 0:
         raise ContractError("sequence_log_prob: empty sequence")
-    inputs = np.concatenate([[BOS_ID], target[:-1]])
-    ctx = model.encode(source[None, :])
-    state = model.initial_state(ctx)
-    per_pos, align = [], []
-    for t in range(target.size):
-        logp, state, alpha = model.step_log_probs(inputs[t : t + 1], state, ctx)
-        per_pos.append(float(logp.data[0, target[t]]))
-        align.append(alpha.data[0].astype(float))
-    return float(np.sum(per_pos)), np.array(per_pos), np.stack(align)
+    picked, alphas = forced_log_probs(model, source[None, :], None,
+                                      np.concatenate([[BOS_ID], target])[None, :])
+    per_pos = picked.data[0].astype(float)
+    return float(np.sum(per_pos)), per_pos, np.stack([a.data[0].astype(float) for a in alphas])

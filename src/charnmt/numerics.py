@@ -120,9 +120,6 @@ class ParameterStore:
     def items(self):
         return self._tensors.items()
 
-    def n_values(self) -> int:
-        return sum(t.data.size for t in self._tensors.values())
-
 
 class _Node:
     __slots__ = ("op", "inputs", "output", "grad_fn")

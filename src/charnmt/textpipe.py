@@ -8,7 +8,6 @@ means a Unicode scalar value.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -184,9 +183,6 @@ class Vocabulary:
         idx = self.index
         return [idx.get(t, UNK_ID) for t in tokens]
 
-    def decode(self, ids) -> list[str]:
-        return [self.symbols[i] for i in ids]
-
     def save(self, path):
         Path(path).write_text("\n".join(self.symbols) + "\n", encoding="utf-8")
 
@@ -224,14 +220,6 @@ def build_vocab(lines, unit: str, max_size: int) -> Vocabulary:
     return Vocabulary(unit, symbols)
 
 
-_NAIVE_SPLIT = re.compile(r"\w+|[^\w\s]", re.UNICODE)
-
-
-def naive_tokenize(text: str) -> list[str]:
-    """Whitespace+punctuation splitter for building small fixtures only."""
-    return _NAIVE_SPLIT.findall(text)
-
-
 @dataclass
 class Batch:
     """Padded index matrices for one minibatch.
@@ -244,14 +232,6 @@ class Batch:
     target: np.ndarray
     source_lengths: np.ndarray
     target_lengths: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.source.shape[0]
-
-    def source_mask(self) -> np.ndarray:
-        t = np.arange(self.source.shape[1])
-        return (t[None, :] < self.source_lengths[:, None]).astype(np.float64)
 
     def label_mask(self) -> np.ndarray:
         """Mask over target positions 1..T-1 (the prediction targets)."""
@@ -270,11 +250,13 @@ def load_parallel(src_path, tgt_path) -> list[tuple[str, str]]:
     return list(zip(src_lines, tgt_lines))
 
 
-def _pad_matrix(rows, width, dtype=np.int64):
-    mat = np.full((len(rows), width), PAD_ID, dtype=dtype)
+def pad_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad id rows with PAD into one matrix; returns it and the row lengths."""
+    lengths = np.array([len(row) for row in rows])
+    mat = np.full((len(rows), lengths.max()), PAD_ID, dtype=np.int64)
     for i, row in enumerate(rows):
         mat[i, : len(row)] = row
-    return mat
+    return mat, lengths
 
 
 def make_batches(
@@ -305,12 +287,7 @@ def make_batches(
         chunk = [kept[i] for i in order[start : start + batch_size]]
         src_rows = [src_vocab.encode(s) + [EOS_ID] for s, _ in chunk]
         tgt_rows = [[BOS_ID] + tgt_vocab.encode(t) + [EOS_ID] for _, t in chunk]
-        batches.append(
-            Batch(
-                source=_pad_matrix(src_rows, max(len(r) for r in src_rows)),
-                target=_pad_matrix(tgt_rows, max(len(r) for r in tgt_rows)),
-                source_lengths=np.array([len(r) for r in src_rows]),
-                target_lengths=np.array([len(r) for r in tgt_rows]),
-            )
-        )
+        source, source_lengths = pad_rows(src_rows)
+        target, target_lengths = pad_rows(tgt_rows)
+        batches.append(Batch(source, target, source_lengths, target_lengths))
     return batches

@@ -13,7 +13,7 @@ resume mid-epoch and see the identical batch sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,15 +22,15 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .decode import default_max_len, greedy_decode, hypothesis_text
 from .errors import ConfigError, ConsistencyError, ContractError, CorpusError, NonFiniteError
 from .metrics import bleu
-from .model import Model, ModelConfig, forced_log_probs, init_params
-from .numerics import Graph, ParameterStore, backward, mul_const, scale, sum_all
+from .model import Model, ModelConfig, forced_log_probs, init_params, param_spec
+from .numerics import PRECISIONS, Graph, ParameterStore, backward, mul_const, scale, sum_all
 from .textpipe import (
     EOS_ID,
-    PAD_ID,
     MergeTable,
     Vocabulary,
     load_parallel,
     make_batches,
+    pad_rows,
     segment_line,
 )
 
@@ -149,68 +149,68 @@ class TrainResult:
     log_path: Path
 
 
-_ARCH_FIELDS = (
-    "src_vocab_size", "tgt_vocab_size", "d_emb", "d_enc", "d_dec", "d_att",
-    "decoder", "attention_query", "precision",
-)
-
-
 def config_dict(model_config: ModelConfig, train_config: TrainConfig) -> dict:
-    out = {k: str(v) for k, v in model_config.to_dict().items()}
-    out.update({k: str(v) for k, v in asdict(train_config).items()})
-    return out
+    return {k: str(v) for k, v in {**asdict(model_config), **asdict(train_config)}.items()}
 
 
-def _coerce(raw: str, typ):
+def _coerce(raw: str, annotation: str):
+    # annotations are strings here ("int", "int | None", ...): the modules
+    # that define the config dataclasses use postponed evaluation
     if raw == "None":
         return None
-    if typ is int:
-        return int(raw)
-    if typ is float:
-        return float(raw)
-    return raw
+    kind = annotation.split("|")[0].strip()
+    return {"int": int, "float": float}.get(kind, str)(raw)
 
 
-_MODEL_TYPES = {"src_vocab_size": int, "tgt_vocab_size": int, "d_emb": int,
-                "d_enc": int, "d_dec": int, "d_att": int,
-                "decoder": str, "attention_query": str, "precision": str}
-_TRAIN_TYPES = {"batch_size": int, "clip": float, "step_size": float,
-                "beta1": float, "beta2": float, "epsilon": float,
-                "max_steps": int, "validate_every": int, "seed": int,
-                "max_source_len": int, "max_target_len": int, "target_unit": str}
+def typed_config(cls, values: dict[str, str]):
+    """Build config dataclass `cls` from the string `values` of its fields;
+    fields absent from `values` keep their defaults."""
+    return cls(**{f.name: _coerce(values[f.name], f.type)
+                  for f in fields(cls) if f.name in values})
 
 
 def configs_from_dict(raw: dict) -> tuple[ModelConfig, TrainConfig]:
     """Rebuild the two config dataclasses from a checkpoint's flat mapping."""
-    try:
-        mc = ModelConfig(**{k: _coerce(raw[k], t) for k, t in _MODEL_TYPES.items()})
-        tc = TrainConfig(**{k: _coerce(raw[k], t) for k, t in _TRAIN_TYPES.items()})
-    except KeyError as exc:
-        raise ConsistencyError(f"checkpoint config is missing key {exc}") from None
-    return mc, tc
+    for cls in (ModelConfig, TrainConfig):
+        for f in fields(cls):
+            if f.name not in raw:
+                raise ConsistencyError(f"checkpoint config is missing key {f.name!r}")
+    return typed_config(ModelConfig, raw), typed_config(TrainConfig, raw)
 
 
 def check_architecture(stored: ModelConfig, requested: ModelConfig) -> None:
-    for name in _ARCH_FIELDS:
-        a, b = getattr(stored, name), getattr(requested, name)
+    for f in fields(ModelConfig):
+        a, b = getattr(stored, f.name), getattr(requested, f.name)
         if a != b:
             raise ConsistencyError(
-                f"checkpoint was trained with {name}={a!r}, requested {name}={b!r}"
+                f"checkpoint was trained with {f.name}={a!r}, requested {f.name}={b!r}"
             )
 
 
-def _load_params(store: ParameterStore, opt: OptimizerState, tensors: dict) -> None:
-    for name in store.names():
-        if name not in tensors:
-            raise ConsistencyError(f"checkpoint lacks parameter {name!r}")
-        if tensors[name].shape != store[name].shape:
+def _spec_tensors(config: ModelConfig, tensors: dict, prefix: str = "") -> dict[str, np.ndarray]:
+    """The arrays `param_spec(config)` names, read from `tensors` under
+    `prefix` (the parameters themselves, or "adam.m." / "adam.v." for the
+    Adam moments) and cast to the config's precision. A missing or
+    wrong-shaped tensor raises ConsistencyError naming it."""
+    dtype = PRECISIONS[config.precision]
+    out = {}
+    for name, shape, _ in param_spec(config):
+        key = prefix + name
+        if key not in tensors:
+            raise ConsistencyError(f"checkpoint lacks tensor {key!r}")
+        if tensors[key].shape != shape:
             raise ConsistencyError(
-                f"checkpoint parameter {name!r} has shape {tensors[name].shape}, "
-                f"expected {store[name].shape}"
+                f"checkpoint tensor {key!r} has shape {tensors[key].shape}, expected {shape}"
             )
-        store.assign(name, tensors[name])
-        opt.m[name] = np.ascontiguousarray(tensors[f"adam.m.{name}"], dtype=store.dtype)
-        opt.v[name] = np.ascontiguousarray(tensors[f"adam.v.{name}"], dtype=store.dtype)
+        out[name] = np.ascontiguousarray(tensors[key], dtype=dtype)
+    return out
+
+
+def _store_from(config: ModelConfig, tensors: dict) -> ParameterStore:
+    store = ParameterStore(config.precision)
+    for name, array in _spec_tensors(config, tensors).items():
+        store.add(name, array)
+    return store
 
 
 @dataclass
@@ -234,17 +234,7 @@ def load_trained_model(directory) -> TrainedModel:
     """
     cp = load_checkpoint(directory)
     mc, tc = configs_from_dict(cp.config)
-    reference = init_params(mc, seed=0)
-    store = ParameterStore(mc.precision)
-    for name in reference.names():
-        if name not in cp.tensors:
-            raise ConsistencyError(f"checkpoint lacks parameter {name!r}")
-        if cp.tensors[name].shape != reference[name].shape:
-            raise ConsistencyError(
-                f"checkpoint parameter {name!r} has shape {cp.tensors[name].shape}, "
-                f"expected {reference[name].shape}"
-            )
-        store.add(name, cp.tensors[name])
+    store = _store_from(mc, cp.tensors)
     for role in ("src_vocab", "tgt_vocab", "merges"):
         if role not in cp.files:
             raise ConsistencyError(f"checkpoint lacks bundled file {role!r}")
@@ -270,14 +260,6 @@ def _segment_pairs(pairs, merges, unit):
     ]
 
 
-def _pad_sources(rows):
-    width = max(len(r) for r in rows)
-    mat = np.full((len(rows), width), PAD_ID, dtype=np.int64)
-    for i, r in enumerate(rows):
-        mat[i, : len(r)] = r
-    return mat, np.array([len(r) for r in rows])
-
-
 def greedy_corpus_bleu(model: Model, src_lines, ref_lines, src_vocab, merges,
                        tgt_vocab, unit, chunk: int = 64) -> float:
     """BLEU of batched greedy decoding against raw reference lines."""
@@ -285,7 +267,7 @@ def greedy_corpus_bleu(model: Model, src_lines, ref_lines, src_vocab, merges,
     for start in range(0, len(src_lines), chunk):
         part = src_lines[start : start + chunk]
         rows = [src_vocab.encode(segment_line(l, "subword", merges)) + [EOS_ID] for l in part]
-        mat, lengths = _pad_sources(rows)
+        mat, lengths = pad_rows(rows)
         cap = max(default_max_len(len(r) - 1, unit) for r in rows)
         for hyp in greedy_decode([model], mat, lengths, cap):
             texts.append(hypothesis_text(hyp, tgt_vocab, unit))
@@ -299,6 +281,19 @@ def _dev_nll(model: Model, batches) -> float:
         total += float(batch_nll(model, batch).data) * n
         count += n
     return total / max(count, 1)
+
+
+def _trim_log(path: Path, step: int) -> None:
+    """Cut a run's log back to the lines of steps up to `step`, so that a
+    resumed run does not log the steps after its checkpoint twice."""
+    if not path.exists():
+        return
+    kept = []
+    for line in path.read_text(encoding="utf-8").splitlines(keepends=True):
+        if not line.endswith("\n") or int(line.split("\t", 1)[0]) > step:
+            break
+        kept.append(line)
+    path.write_text("".join(kept), encoding="utf-8")
 
 
 def _batch_stream(pairs, src_vocab, tgt_vocab, config: TrainConfig, epoch: int, start: int):
@@ -348,24 +343,28 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
         train_config.target_limit(), train_config.batch_size, seed=0,
     )
 
-    store = init_params(model_config, train_config.seed)
-    opt = OptimizerState.fresh(store)
-    epoch, batch_start = 0, 0
-    best_nll = math.inf
-    if resume is not None:
+    out_dir = Path(paths.out_dir)
+    log_path = out_dir / "train.log"
+    if resume is None:
+        store = init_params(model_config, train_config.seed)
+        opt = OptimizerState.fresh(store)
+        epoch, batch_start = 0, 0
+        best_nll = math.inf
+    else:
         cp = load_checkpoint(resume)
         stored_mc, _ = configs_from_dict(cp.config)
         check_architecture(stored_mc, model_config)
-        _load_params(store, opt, cp.tensors)
-        opt.step = int(cp.state["step"])
+        store = _store_from(model_config, cp.tensors)
+        opt = OptimizerState(m=_spec_tensors(model_config, cp.tensors, "adam.m."),
+                             v=_spec_tensors(model_config, cp.tensors, "adam.v."),
+                             step=int(cp.state["step"]))
         epoch = int(cp.state["epoch"])
         batch_start = int(cp.state["batch"])
         best_nll = float(cp.state.get("best_dev_nll", math.inf))
+        _trim_log(log_path, opt.step)
 
     model = Model(model_config, store)
-    out_dir = Path(paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    log_path = out_dir / "train.log"
     latest_dir = out_dir / "latest"
     best_dir = out_dir / "best"
     conf = config_dict(model_config, train_config)

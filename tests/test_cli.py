@@ -8,7 +8,6 @@ from charnmt.config import (
     RunConfig,
     parse_config_text,
     parse_overrides,
-    serialize_config,
 )
 from charnmt.decode import default_max_len, greedy_decode, hypothesis_text
 from charnmt.errors import ConfigError
@@ -16,6 +15,11 @@ from charnmt.textpipe import EOS_ID, MergeTable, Vocabulary, learn_bpe, segment_
 from charnmt.trainer import load_trained_model
 
 from test_trainer import DEV_LINES, TRAIN_LINES, corpus_files
+
+
+def serialize_config(values: dict[str, str]) -> str:
+    """Render a run config in the `key = value` format parse_config_text reads."""
+    return "".join(f"{k} = {v}\n" for k, v in values.items())
 
 
 def write_config(path, paths, **extra):

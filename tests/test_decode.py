@@ -223,17 +223,17 @@ class TestRendering:
     def test_character_text_verbatim(self):
         _, tgt = _toy_vocabs()
         hyp = Hypothesis(tokens=[tgt.index["u"], tgt.index[" "], tgt.index["v"], EOS_ID],
-                         score=0.0, states=[], alignments=[])
+                         score=0.0, alignments=[])
         assert hypothesis_text(hyp, tgt, "character") == "u v"
 
     def test_subword_text_strips_markers(self):
         vocab = Vocabulary("subword", list(RESERVED) + ["ab@@", "cd", "e"])
-        hyp = Hypothesis(tokens=[4, 5, 6, EOS_ID], score=0.0, states=[], alignments=[])
+        hyp = Hypothesis(tokens=[4, 5, 6, EOS_ID], score=0.0, alignments=[])
         assert hypothesis_text(hyp, vocab, "subword") == "abcd e"
 
     def test_unfinished_tokens_render_fully(self):
         vocab = Vocabulary("subword", list(RESERVED) + ["xy"])
-        hyp = Hypothesis(tokens=[4, 4], score=0.0, states=[], alignments=[])
+        hyp = Hypothesis(tokens=[4, 4], score=0.0, alignments=[])
         assert hypothesis_text(hyp, vocab, "subword") == "xy xy"
 
     def test_alignment_block_layout(self):

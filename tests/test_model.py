@@ -12,17 +12,17 @@ from charnmt.model import (
     Model,
     ModelConfig,
     attend,
-    base_step,
-    biscale_step,
     encode,
     forced_log_probs,
     gru_cell,
     init_params,
     make_decoder,
-    output_log_probs,
+    param_spec,
     sequence_log_prob,
 )
-from charnmt.numerics import Graph, ParameterStore, add, backward, mul_const, scale, sum_all, tensor
+from charnmt.numerics import (
+    Graph, ParameterStore, add, backward, embed, mul_const, scale, sum_all, tensor,
+)
 from charnmt.textpipe import BOS_ID, EOS_ID
 
 from conftest import assert_arrays_close, composite_gru_cell
@@ -40,6 +40,17 @@ def tiny_config(**kw):
 def tiny_model(seed=0, **kw):
     cfg = tiny_config(**kw)
     return Model(cfg, init_params(cfg, seed))
+
+
+def decoder_step(m, y_prev, state, c):
+    """One step of the model's decoder on previous symbols `y_prev`."""
+    return m.decoder.step(m.store, embed(m.store["tgt_emb"], np.asarray(y_prev)), state, c)
+
+
+def output_log_probs(m, y_prev, dec_out, c):
+    """The output layer alone, fed previous symbols `y_prev`."""
+    y_emb = embed(m.store["tgt_emb"], np.asarray(y_prev))
+    return model_mod._output_log_probs(m.store, y_emb, dec_out, c)
 
 
 def zero_params(store):
@@ -276,8 +287,8 @@ class TestBaseStep:
         ctx = m.encode(np.array([[4, 1]]))
         state = m.initial_state(ctx)
         c = tensor(np.ones((1, 10)), "wide")
-        a = base_step(m.store, m.config, [5], state, c)
-        b = base_step(m.store, m.config, [5], state, c)
+        a = decoder_step(m, [5], state, c)
+        b = decoder_step(m, [5], state, c)
         assert np.array_equal(a.h1.data, b.h1.data)
         assert np.array_equal(a.h2.data, b.h2.data)
 
@@ -287,16 +298,14 @@ class TestBaseStep:
         ctx = m.encode(np.array([[4, 1]]))
         state = m.initial_state(ctx)
         for tok in (BOS_ID, 5, 6):
-            state = base_step(m.store, m.config, [tok], state,
-                             tensor(np.zeros((1, 10)), "wide"))
+            state = decoder_step(m, [tok], state, tensor(np.zeros((1, 10)), "wide"))
         assert np.all(state.h1.data == 0.0) and np.all(state.h2.data == 0.0)
 
     def test_out_of_range_symbol(self):
         m = tiny_model(15)
         ctx = m.encode(np.array([[4, 1]]))
         with pytest.raises(VocabularyError):
-            base_step(m.store, m.config, [9], m.initial_state(ctx),
-                      tensor(np.zeros((1, 10)), "wide"))
+            m.step_log_probs([9], m.initial_state(ctx), ctx)
 
 
 def _force_gate(store, name, value):
@@ -317,7 +326,7 @@ class TestBiscaleStep:
         h2_start = state.h2.data.copy()
         c = tensor(np.ones((1, 10)), "wide")
         for tok in (BOS_ID, 5, 6, 7, 5):
-            state = biscale_step(m.store, m.config, [tok], state, c)
+            state = decoder_step(m, [tok], state, c)
             assert np.all(state.g1.data == 0.0)
             assert np.array_equal(state.h2.data, h2_start)
 
@@ -326,7 +335,7 @@ class TestBiscaleStep:
         _force_gate(m.store, "g1", 1000.0)
         c = tensor(np.ones((1, 10)), "wide")
         for tok in (BOS_ID, 5, 6):
-            state = biscale_step(m.store, m.config, [tok], state, c)
+            state = decoder_step(m, [tok], state, c)
             assert np.all(state.g1.data == 1.0)
             assert np.all(state.h1_carried.data == 0.0)
             assert np.array_equal(state.h2.data, state.cand.data)
@@ -338,7 +347,7 @@ class TestBiscaleStep:
         for _ in range(4):
             c = tensor(rng.normal(size=(1, 10)), "wide")
             tok = int(rng.integers(0, 9))
-            state = biscale_step(m.store, m.config, [tok], state, c)
+            state = decoder_step(m, [tok], state, c)
             assert np.all((state.g1.data > 0.0) & (state.g1.data < 1.0))
             assert np.all((state.g2.data > 0.0) & (state.g2.data < 1.0))
             np.testing.assert_allclose(
@@ -354,7 +363,7 @@ class TestBiscaleStep:
 
     def test_widths_shared(self):
         m, ctx, state = self._setup(18)
-        state = biscale_step(m.store, m.config, [5], state, tensor(np.ones((1, 10)), "wide"))
+        state = decoder_step(m, [5], state, tensor(np.ones((1, 10)), "wide"))
         assert state.h1.shape == state.h2.shape
 
 
@@ -362,7 +371,7 @@ class TestOutputLogProbs:
     def test_exp_sums_to_one(self):
         m = tiny_model(19)
         rng = np.random.default_rng(0)
-        logp = output_log_probs(m.store, m.config, [4],
+        logp = output_log_probs(m, [4],
                                 tensor(rng.normal(size=(1, 6)), "wide"),
                                 tensor(rng.normal(size=(1, 10)), "wide"))
         np.testing.assert_allclose(np.exp(logp.data).sum(), 1.0, atol=1e-6)
@@ -370,7 +379,7 @@ class TestOutputLogProbs:
     def test_zero_weights_uniform(self):
         m = tiny_model(20)
         zero_params(m.store)
-        logp = output_log_probs(m.store, m.config, [4],
+        logp = output_log_probs(m, [4],
                                 tensor(np.zeros((1, 6)), "wide"),
                                 tensor(np.zeros((1, 10)), "wide"))
         np.testing.assert_allclose(logp.data, -np.log(9.0), atol=1e-12)
@@ -380,9 +389,9 @@ class TestOutputLogProbs:
         rng = np.random.default_rng(2)
         dec_out = tensor(rng.normal(size=(1, 6)), "wide")
         c = tensor(rng.normal(size=(1, 10)), "wide")
-        before = output_log_probs(m.store, m.config, [4], dec_out, c)
+        before = output_log_probs(m, [4], dec_out, c)
         m.store.assign("out.b_logit", m.store["out.b_logit"].data + 7.5)
-        after = output_log_probs(m.store, m.config, [4], dec_out, c)
+        after = output_log_probs(m, [4], dec_out, c)
         np.testing.assert_allclose(before.data, after.data, atol=1e-9)
         assert before.data.argmax() == after.data.argmax()
 
@@ -509,6 +518,15 @@ class TestConfigAndInit:
         store.add("x", np.ones(1))
         with pytest.raises(ContractError):
             Model(cfg, store)
+
+    @pytest.mark.parametrize("decoder", ["base", "biscale"])
+    @pytest.mark.parametrize("query", ["slower", "faster", "both"])
+    def test_init_follows_param_spec(self, decoder, query):
+        cfg = tiny_config(decoder=decoder, attention_query=query, d_att=7)
+        store = init_params(cfg, 0)
+        spec = param_spec(cfg)
+        assert store.names() == [name for name, _, _ in spec]
+        assert [store[name].shape for name, _, _ in spec] == [shape for _, shape, _ in spec]
 
     def test_biscale_store_has_no_base_matrices(self):
         store = init_params(tiny_config(decoder="biscale"), 0)

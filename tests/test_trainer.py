@@ -9,7 +9,7 @@ import pytest
 
 import charnmt.model as model_mod
 import charnmt.trainer as trainer_mod
-from charnmt.checkpoint import load_checkpoint
+from charnmt.checkpoint import load_checkpoint, save_checkpoint
 from charnmt.errors import ConfigError, ConsistencyError, ContractError, NonFiniteError
 from charnmt.model import ModelConfig
 from charnmt.numerics import Graph, ParameterStore, backward
@@ -33,6 +33,7 @@ from charnmt.trainer import (
     config_dict,
     configs_from_dict,
     global_norm,
+    load_trained_model,
     train,
 )
 
@@ -357,6 +358,24 @@ class TestTrainLoop:
               echo=resumed_lines.append)
         assert resumed_lines == full_lines[2:]
 
+    def test_in_place_resume_leaves_uninterrupted_log(self, corpus, tmp_path):
+        paths, n_src, n_tgt = corpus
+        mc, tc = tiny_configs(n_src, n_tgt, max_steps=4, validate_every=2)
+        full = train(mc, tc, TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "full"}))
+
+        run = TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "run"})
+
+        def stop_at_step_3(line):
+            if line.startswith("3\t"):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            train(mc, tc, run, echo=stop_at_step_3)
+        # step 3 is logged, but the latest checkpoint holds step 2
+        assert len(run.out_dir.joinpath("train.log").read_text().splitlines()) == 3
+        resumed = train(mc, tc, run, resume=run.out_dir / "latest")
+        assert resumed.log_path.read_bytes() == full.log_path.read_bytes()
+
     def test_resume_rejects_architecture_change(self, corpus, tmp_path):
         paths, n_src, n_tgt = corpus
         mc, tc = tiny_configs(n_src, n_tgt, max_steps=0)
@@ -429,3 +448,55 @@ class TestTrainLoop:
         first = float(lines[0].split("\t")[1])
         last = float(lines[-1].split("\t")[1])
         assert last < first / 10
+
+
+class TestMalformedCheckpoint:
+    """A checkpoint whose tensors disagree with the parameter spec is refused
+    with ConsistencyError naming the tensor, on load and on resume."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, corpus, tmp_path_factory):
+        paths, n_src, n_tgt = corpus
+        mc, tc = tiny_configs(n_src, n_tgt, max_steps=2, validate_every=2)
+        out = tmp_path_factory.mktemp("malformed")
+        run = TrainPaths(**{**paths.__dict__, "out_dir": out / "run"})
+        return mc, tc, run, train(mc, tc, run).latest_dir
+
+    @staticmethod
+    def rewrite(source, target, name, value):
+        """Copy checkpoint `source` to `target` with tensor `name` replaced by
+        `value`, or dropped when `value` is None."""
+        cp = load_checkpoint(source)
+        tensors = dict(cp.tensors)
+        if value is None:
+            del tensors[name]
+        else:
+            tensors[name] = value
+        return save_checkpoint(target, cp.config, cp.state, tensors, cp.files)
+
+    def test_missing_parameter_on_load(self, trained, tmp_path):
+        _, _, _, latest = trained
+        bad = self.rewrite(latest, tmp_path / "bad", "dec2.U_cand", None)
+        with pytest.raises(ConsistencyError, match=r"lacks tensor 'dec2\.U_cand'"):
+            load_trained_model(bad)
+
+    def test_wrong_shaped_parameter_on_load(self, trained, tmp_path):
+        _, _, _, latest = trained
+        bad = self.rewrite(latest, tmp_path / "bad", "att.v", np.zeros((3, 1)))
+        with pytest.raises(ConsistencyError, match=r"'att\.v' has shape \(3, 1\)"):
+            load_trained_model(bad)
+
+    def test_missing_adam_moment_on_resume(self, trained, tmp_path):
+        mc, tc, run, latest = trained
+        bad = self.rewrite(latest, tmp_path / "bad", "adam.m.out.b_logit", None)
+        run = TrainPaths(**{**run.__dict__, "out_dir": tmp_path / "resumed"})
+        with pytest.raises(ConsistencyError, match=r"lacks tensor 'adam\.m\.out\.b_logit'"):
+            train(mc, tc, run, resume=bad)
+
+    def test_wrong_shaped_adam_moment_on_resume(self, trained, tmp_path):
+        mc, tc, run, latest = trained
+        bad = self.rewrite(latest, tmp_path / "bad", "adam.v.enc_fw.W_reset", np.zeros((2, 2)))
+        run = TrainPaths(**{**run.__dict__, "out_dir": tmp_path / "resumed"})
+        with pytest.raises(ConsistencyError,
+                           match=r"'adam\.v\.enc_fw\.W_reset' has shape \(2, 2\)"):
+            train(mc, tc, run, resume=bad)
