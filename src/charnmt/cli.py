@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -100,15 +101,20 @@ def _load_ensemble(primary, extras):
 def cmd_translate(args) -> int:
     first, models = _load_ensemble(args.model, args.ensemble)
     lines = _read_lines(args.input)
+    start = time.perf_counter()
     result = translate_corpus(
         models, lines, first.src_vocab, first.tgt_vocab, first.merges,
         first.train_config.target_unit, width=args.beam, max_len=args.max_len,
         length_normalize=args.length_normalize,
     )
+    seconds = time.perf_counter() - start
     _replace_into(args.output, "".join(t + "\n" for t in result.texts))
     if args.dump_align is not None:
         _replace_into(args.dump_align, alignment_blocks(result, first.tgt_vocab))
-    print(f"translated {len(lines)} lines -> {args.output}")
+    closed = sum(h.truncated for h in result.hypotheses)
+    print(f"translated {len(lines)} lines in {seconds:.2f} s "
+          f"({len(lines) / max(seconds, 1e-9):.1f} sent/s), {closed} closed at the length cap "
+          f"-> {args.output}")
     return 0
 
 

@@ -5,6 +5,12 @@ one-element case. Ensembles average output *probabilities* arithmetically
 (scores stay log-probabilities) and require identical target vocabularies.
 Alignment rows for an ensemble are the mean of the members' rows.
 
+Both searches decode a batch of padded sources at once. Beam search steps
+the live hypotheses of every sentence in one model call per step; each
+sentence keeps its own completed pool, greedy chain, stop test and length
+cap, and leaves the batch when it finishes. `translate_corpus` feeds it
+fixed-size chunks of a corpus.
+
 Scores carry no length normalization by default: a hypothesis score is the
 exact sum of its chosen per-step log-probabilities, including the final EOS.
 When the length cap forces a hypothesis closed, the EOS it receives is still
@@ -20,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, EnsembleError
-from .model import ContextSet, Model
 from .numerics import Tensor
 from .textpipe import (
     BOS_ID,
@@ -29,6 +34,7 @@ from .textpipe import (
     Vocabulary,
     apply_bpe,
     detokenize_subwords,
+    pad_rows,
 )
 
 
@@ -79,31 +85,18 @@ def _check_ensemble(models):
             )
 
 
-def _select_state_rows(state, rows):
-    vals = {
-        f.name: Tensor(getattr(state, f.name).data[rows])
-        for f in dataclasses.fields(state)
-    }
-    return type(state)(**vals)
+def _take_rows(obj, rows):
+    """The same dataclass (decoder state or ContextSet) with every field
+    restricted to `rows`, in that order."""
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return type(obj)(**{k: Tensor(v.data[rows]) if isinstance(v, Tensor) else v[rows]
+                        for k, v in values.items()})
 
 
-def _tile_ctx(ctx: ContextSet, n: int) -> ContextSet:
-    if ctx.annotations.shape[0] == n:
-        return ctx
-    rep = lambda a: np.repeat(a, n, axis=0)
-    return ContextSet(
-        annotations=Tensor(rep(ctx.annotations.data)),
-        keys=Tensor(rep(ctx.keys.data)),
-        mask=rep(ctx.mask),
-        lengths=np.repeat(ctx.lengths, n),
-        backward_head=Tensor(rep(ctx.backward_head.data)),
-    )
-
-
-def _ensemble_step(models, ctxs, states, y_prev, n):
+def _ensemble_step(models, ctxs, states, y_prev):
     logps, alphas, new_states = [], [], []
     for model, ctx, st in zip(models, ctxs, states):
-        logp, ns, alpha = model.step_log_probs(y_prev, st, _tile_ctx(ctx, n))
+        logp, ns, alpha = model.step_log_probs(y_prev, st, ctx)
         logps.append(logp.data)
         alphas.append(alpha.data)
         new_states.append(ns)
@@ -131,7 +124,7 @@ def greedy_decode(models, source, lengths=None, max_len: int = 100) -> list[Hypo
     scores = np.zeros(B)
     aligns = [[] for _ in range(B)]
     for _ in range(max_len):
-        avg, alpha, states = _ensemble_step(models, ctxs, states, y_prev, B)
+        avg, alpha, states = _ensemble_step(models, ctxs, states, y_prev)
         pick = avg.argmax(axis=1)
         for i in range(B):
             if done[i]:
@@ -145,7 +138,7 @@ def greedy_decode(models, source, lengths=None, max_len: int = 100) -> list[Hypo
             break
     truncated = ~done
     if truncated.any():
-        avg, alpha, _ = _ensemble_step(models, ctxs, states, y_prev, B)
+        avg, alpha, _ = _ensemble_step(models, ctxs, states, y_prev)
         for i in np.nonzero(truncated)[0]:
             tokens[i].append(EOS_ID)
             scores[i] += avg[i, EOS_ID]
@@ -162,99 +155,125 @@ def greedy_decode(models, source, lengths=None, max_len: int = 100) -> list[Hypo
     ]
 
 
-def beam_search(models, source, width: int, max_len: int,
-                length_normalize: bool = False) -> list[Hypothesis]:
-    """Likelihood beam search over one sentence.
+def beam_search(models, source, width: int, max_len, lengths=None,
+                length_normalize: bool = False) -> list[list[Hypothesis]]:
+    """Likelihood beam search over a batch of sentences at once.
 
-    Each step expands every live hypothesis over the full vocabulary and
-    keeps the `width` best extensions by accumulated log-probability (ties:
-    lower token index, then lower parent index). The chain of per-step argmax
-    continuations is never pruned: if it falls outside the top `width` it
-    takes the worst slot, so the best completed score can never drop below
-    the width-1 (greedy) result. Extensions ending in EOS retire to a
-    completed pool. The search stops when every live hypothesis scores below
-    the pool's best (no extension can beat it, scores only decrease) or at
-    `max_len`, where survivors are force-finished with a scored EOS. Returns
-    the pool ranked by score (mean per-token score if `length_normalize`).
+    `source` is (S, T_x) (or a single 1-D sentence) with optional `lengths`;
+    `max_len` is one cap or one per row. Returns, per row, its completed
+    hypotheses ranked by score (mean per-token score if `length_normalize`).
+
+    Each sentence searches on its own. Every step expands its live
+    hypotheses over the full vocabulary and keeps the `width` best extensions
+    by accumulated log-probability (ties: lower token index, then lower
+    parent slot). Its chain of per-step argmax continuations is never pruned:
+    if it falls outside the top `width` it takes the worst slot, so the best
+    completed score can never drop below the width-1 (greedy) result.
+    Extensions ending in EOS retire to the sentence's completed pool. A
+    sentence stops when every live hypothesis scores below its pool's best
+    (no extension can beat it, scores only decrease) or at its cap, where
+    survivors are force-finished with a scored EOS, and then leaves the batch.
+
+    The live hypotheses of all sentences step through each model in one
+    call, each row reading its sentence's annotations by index. Selection is
+    one stable sort per step over a (sentences, V * width) layout, token
+    major, so ties fall as above; tokens and alignment rows are kept as
+    back-pointers and read out once the batch is done.
     """
     if width < 1:
         raise ConfigError(f"beam width must be at least 1, got {width}")
-    if max_len < 1:
-        raise ConfigError(f"max_len must be positive, got {max_len}")
     _check_ensemble(models)
     source = np.asarray(source)
     if source.ndim == 1:
         source = source[None, :]
+    S, T = source.shape
+    caps = np.broadcast_to(np.asarray(max_len), (S,))
+    if caps.min() < 1:
+        raise ConfigError(f"max_len must be positive, got {caps.min()}")
+    lengths = np.full(S, T) if lengths is None else np.asarray(lengths)
     V = models[0].config.tgt_vocab_size
-    ctxs = [m.encode(source) for m in models]
+    ctxs = [m.encode(source, lengths) for m in models]
     states = [m.initial_state(ctx) for m, ctx in zip(models, ctxs)]
-    live_tokens: list[list[int]] = [[]]
-    live_aligns: list[list[np.ndarray]] = [[]]
-    live_scores = np.zeros(1)
-    pool: list[Hypothesis] = []
-    chain = 0  # live row tracing the greedy path; None once it retires
 
-    for _ in range(max_len):
-        n = len(live_tokens)
-        y_prev = np.array([t[-1] if t else BOS_ID for t in live_tokens])
-        avg, alpha, stepped = _ensemble_step(models, ctxs, states, y_prev, n)
-        flat = (live_scores[:, None] + avg).ravel()
-        hyp_of = np.repeat(np.arange(n), V)
-        tok_of = np.tile(np.arange(V), n)
-        order = np.lexsort((hyp_of, tok_of, -flat))[:width]
-        g_tok = None
-        if chain is not None:
-            g_tok = int(avg[chain].argmax())
-            g_flat = chain * V + g_tok
-            if g_flat not in order:
-                order[-1] = g_flat
-                order = order[np.lexsort((hyp_of[order], tok_of[order], -flat[order]))]
+    sent = np.arange(S)  # sentence of each active position
+    n_live = np.ones(S, dtype=int)  # live rows are grouped by sentence, in slot order
+    y_prev = np.full(S, BOS_ID)
+    row_score = np.zeros(S)
+    chain = np.zeros(S, dtype=int)  # slot tracing the greedy path; -1 once it retires
+    best = np.full(S, -np.inf)  # best completed score
+    alphas, parents, tokens = [], [], []  # per step; rows of step t+1 point into step t
+    pool = []  # (sentence, score, row, step, truncated) of completed hypotheses
+    t = 0
+    while len(sent):
+        A = len(sent)
+        row_act = np.repeat(np.arange(A), n_live)
+        offset = np.cumsum(n_live) - n_live
+        row_slot = np.arange(len(row_act)) - offset[row_act]
+        avg, alpha, stepped = _ensemble_step(
+            models, [_take_rows(c, sent[row_act]) for c in ctxs], states, y_prev)
+        alphas.append(alpha)
 
-        keep_rows, keep_tokens, keep_aligns, keep_scores = [], [], [], []
-        next_chain = None
-        for cand in order:
-            h, tok = int(hyp_of[cand]), int(tok_of[cand])
-            score = float(flat[cand])
-            toks = live_tokens[h] + [tok]
-            als = live_aligns[h] + [alpha[h].copy()]
-            if tok == EOS_ID:
-                pool.append(Hypothesis(
-                    tokens=toks, score=score,
-                    alignments=als, finished=True,
-                ))
-            else:
-                keep_rows.append(h)
-                keep_tokens.append(toks)
-                keep_aligns.append(als)
-                keep_scores.append(score)
-                if h == chain and tok == g_tok:
-                    next_chain = len(keep_rows) - 1
-        chain = next_chain
+        closing = caps[sent] == t
+        shut = np.nonzero(closing[row_act])[0]
+        pool.append((sent[row_act[shut]], row_score[shut] + avg[shut, EOS_ID], shut, t, True))
 
-        if not keep_rows:
-            live_tokens = []
-            break
-        if pool and max(keep_scores) < max(p.score for p in pool):
-            live_tokens = []
-            break
-        states = [_select_state_rows(s, keep_rows) for s in stepped]
-        live_tokens, live_aligns = keep_tokens, keep_aligns
-        live_scores = np.array(keep_scores)
+        grid = np.full((A, V, width), -np.inf)
+        grid[row_act, :, row_slot] = row_score[:, None] + avg
+        grid = grid.reshape(A, V * width)
+        order = np.argsort(-grid, axis=1, kind="stable")[:, :width]
+        valid = np.arange(order.shape[1]) < np.minimum(width, n_live * V)[:, None]
+        has = np.nonzero(chain >= 0)[0]
+        g_idx = avg[offset[has] + chain[has]].argmax(axis=1) * width + chain[has]
+        miss = ~(order[has] == g_idx[:, None]).any(axis=1)
+        order[has[miss], valid[has[miss]].sum(axis=1) - 1] = g_idx[miss]
+        tok, slot = order // width, order % width
+        score = np.take_along_axis(grid, order, axis=1)
+        picked = valid & ~closing[:, None]
+        a, j = np.nonzero(picked & (tok == EOS_ID))
+        pool.append((sent[a], score[a, j], offset[a] + slot[a, j], t, False))
+        np.maximum.at(best, a, score[a, j])
 
-    if live_tokens:
-        n = len(live_tokens)
-        y_prev = np.array([t[-1] for t in live_tokens])
-        avg, alpha, _ = _ensemble_step(models, ctxs, states, y_prev, n)
-        for i in range(n):
-            pool.append(Hypothesis(
-                tokens=live_tokens[i] + [EOS_ID],
-                score=float(live_scores[i] + avg[i, EOS_ID]),
-                alignments=live_aligns[i] + [alpha[i].copy()],
-                finished=True, truncated=True,
-            ))
+        keep = picked & (tok != EOS_ID)
+        new_slot = np.cumsum(keep, axis=1) - 1
+        on_chain = order[has] == g_idx[:, None]
+        chain[:] = -1
+        chain[has] = np.where((keep[has] & on_chain).any(axis=1),
+                              new_slot[has][on_chain], -1)
+        n_live = keep.sum(axis=1)
+        stay = ~closing & (n_live > 0) & (np.where(keep, score, -np.inf).max(axis=1) >= best)
+        a, j = np.nonzero(keep & stay[:, None])
+        parents.append(offset[a] + slot[a, j])
+        tokens.append(tok[a, j])
+        states = [_take_rows(s, parents[-1]) for s in stepped]
+        y_prev, row_score = tokens[-1], score[a, j]
+        sent, n_live, chain, best = sent[stay], n_live[stay], chain[stay], best[stay]
+        t += 1
 
-    rank = (lambda h: h.score / len(h.tokens)) if length_normalize else (lambda h: h.score)
-    return sorted(pool, key=rank, reverse=True)
+    return _read_pools(S, lengths, pool, alphas, parents, tokens, length_normalize)
+
+
+def _read_pools(S, lengths, pool, alphas, parents, tokens, length_normalize):
+    """Follow every completed hypothesis's back-pointers and rank each pool."""
+    sent, score, row, step, truncated = (
+        np.concatenate([np.broadcast_to(p[k], p[0].shape) for p in pool]) for k in range(5))
+    size = step + 1
+    toks = np.full((len(row), size.max()), EOS_ID)
+    aligns = np.zeros((len(row), size.max(), alphas[0].shape[1]), dtype=alphas[0].dtype)
+    for u in range(size.max() - 1, -1, -1):
+        on = step >= u
+        aligns[on, u] = alphas[u][row[on]]
+        if u:
+            toks[on, u - 1] = tokens[u - 1][row[on]]
+            row[on] = parents[u - 1][row[on]]
+    key = score / size if length_normalize else score
+    pools = [[] for _ in range(S)]
+    for e in np.lexsort((-key, sent)):
+        pools[sent[e]].append(Hypothesis(
+            tokens=toks[e, :size[e]].tolist(), score=float(score[e]),
+            alignments=list(aligns[e, :size[e], :lengths[sent[e]]].copy()),
+            finished=True, truncated=bool(truncated[e]),
+        ))
+    return pools
 
 
 def hypothesis_text(hyp: Hypothesis, vocab: Vocabulary, unit: str) -> str:
@@ -274,11 +293,17 @@ class TranslationResult:
     source_symbols: list[list[str]]  # per sentence, including the EOS symbol
 
 
+_SEARCH_CHUNK = 64  # sentences per beam_search call
+
+
 def translate_corpus(models, lines, src_vocab: Vocabulary, tgt_vocab: Vocabulary,
                      merges: MergeTable, unit: str, width: int,
                      max_len: int | None = None,
                      length_normalize: bool = False) -> TranslationResult:
-    """Translate raw source lines end to end with a fixed-width beam."""
+    """Translate raw source lines end to end with a fixed-width beam.
+
+    Lines are searched in input order, a chunk of sentences per
+    `beam_search` call; the default cap is each line's own."""
     _check_ensemble(models)
     for m in models:
         if m.config.src_vocab_size != len(src_vocab):
@@ -291,17 +316,19 @@ def translate_corpus(models, lines, src_vocab: Vocabulary, tgt_vocab: Vocabulary
                 f"model expects target vocabulary of {m.config.tgt_vocab_size}, "
                 f"file has {len(tgt_vocab)}"
             )
-    texts, hyps, source_symbols = [], [], []
+    segmented = [apply_bpe(line.split(), merges) for line in lines]
+    caps = np.array([max_len if max_len is not None else default_max_len(len(s), unit)
+                     for s in segmented], dtype=int)
+    hyps = []
+    for start in range(0, len(lines), _SEARCH_CHUNK):
+        part = slice(start, start + _SEARCH_CHUNK)
+        source, lengths = pad_rows([src_vocab.encode(s) + [EOS_ID] for s in segmented[part]])
+        pools = beam_search(models, source, width, caps[part], lengths, length_normalize)
+        hyps += [pool[0] for pool in pools]
     eos_symbol = src_vocab.symbols[EOS_ID]
-    for line in lines:
-        subwords = apply_bpe(line.split(), merges)
-        ids = np.array(src_vocab.encode(subwords) + [EOS_ID])
-        cap = max_len if max_len is not None else default_max_len(len(subwords), unit)
-        best = beam_search(models, ids, width, cap, length_normalize)[0]
-        texts.append(hypothesis_text(best, tgt_vocab, unit))
-        hyps.append(best)
-        source_symbols.append(subwords + [eos_symbol])
-    return TranslationResult(texts=texts, hypotheses=hyps, source_symbols=source_symbols)
+    return TranslationResult(texts=[hypothesis_text(h, tgt_vocab, unit) for h in hyps],
+                             hypotheses=hyps,
+                             source_symbols=[s + [eos_symbol] for s in segmented])
 
 
 def _cell(symbol: str) -> str:

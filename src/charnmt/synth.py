@@ -29,31 +29,8 @@ TARGET_ALPHABET = "nopqrstuvw"
 CIPHER = dict(zip(SOURCE_ALPHABET, TARGET_ALPHABET))
 
 
-COPY_WORDS = ("abc", "bca", "cab", "acb", "bac", "cba", "aab", "bcc", "caa", "abb")
-
-
 def copy_corpus() -> list[tuple[str, str]]:
     return [(line, line) for line in COPY_LINES]
-
-
-def copy_task_corpus(n_pairs: int = 400, seed: int = 5,
-                     words_per_sentence: tuple[int, int] = (3, 6),
-                     ) -> list[tuple[str, str]]:
-    """Distinct random copy pairs; variety makes attention track position."""
-    if n_pairs < 1:
-        raise ConfigError("n_pairs must be positive")
-    rng = np.random.default_rng(seed)
-    lo, hi = words_per_sentence
-    lines: list[str] = []
-    seen = set()
-    while len(lines) < n_pairs:
-        count = int(rng.integers(lo, hi + 1))
-        line = " ".join(COPY_WORDS[i]
-                        for i in rng.integers(0, len(COPY_WORDS), size=count))
-        if line not in seen:
-            seen.add(line)
-            lines.append(line)
-    return [(line, line) for line in lines]
 
 
 def make_lexicon(n_words: int = 40, min_len: int = 5, max_len: int = 8,

@@ -383,7 +383,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
     stream = _batch_stream(train_pairs, src_vocab, tgt_vocab, train_config,
                            epoch, batch_start)
     position = (epoch, batch_start)
-    with open(log_path, "a", encoding="utf-8") as log:
+    with open(log_path, "w" if resume is None else "a", encoding="utf-8") as log:
         while opt.step < train_config.max_steps:
             batch, cur_epoch, cur_index, position = next(stream)
             with Graph(store) as graph:

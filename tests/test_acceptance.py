@@ -18,7 +18,7 @@ from charnmt.decode import beam_search, greedy_decode, hypothesis_text
 from charnmt.metrics import System, bleu, word_nll_by_frequency
 from charnmt.model import Model, ModelConfig, init_params, sequence_log_prob
 from charnmt.numerics import Graph, backward
-from charnmt.synth import copy_corpus, copy_task_corpus, split_pairs, transliteration_corpus
+from charnmt.synth import copy_corpus, split_pairs, transliteration_corpus
 from charnmt.textpipe import (
     EOS_ID,
     RESERVED,
@@ -39,7 +39,7 @@ from charnmt.trainer import (
     greedy_corpus_bleu,
 )
 
-from conftest import small_model
+from conftest import copy_task_corpus, small_model
 from fdcheck import REL_TOL, finite_difference_grads, max_relative_error
 from test_trainer import hand_batch
 
@@ -243,10 +243,10 @@ def test_05_beam_ensemble_contracts():
                             size=rng.integers(2, 7)).tolist()
         source = np.array(body + [EOS_ID])
         greedy = greedy_decode([m], source[None, :], max_len=25)[0]
-        width1 = beam_search([m], source, width=1, max_len=25)[0]
+        width1 = beam_search([m], source, width=1, max_len=25)[0][0]
         if width1.tokens == greedy.tokens and width1.score == greedy.score:
             exact += 1
-        width5 = beam_search([m], source, width=5, max_len=25)[0]
+        width5 = beam_search([m], source, width=5, max_len=25)[0][0]
         if width5.score >= greedy.score - 1e-9:
             dominated += 1
         duo = greedy_decode([m, m], source[None, :], max_len=25)[0]

@@ -1,5 +1,7 @@
 """End-to-end command-line tests driven through main()."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from charnmt.config import (
     parse_config_text,
     parse_overrides,
 )
-from charnmt.decode import default_max_len, greedy_decode, hypothesis_text
+from charnmt.decode import default_max_len, greedy_decode, hypothesis_text, translate_corpus
 from charnmt.errors import ConfigError
 from charnmt.textpipe import EOS_ID, MergeTable, Vocabulary, learn_bpe, segment_line
 from charnmt.trainer import load_trained_model
@@ -260,6 +262,30 @@ class TestTranslateCommand:
                 assert len(cells) == width + 1
                 total = sum(float(c) for c in cells[1:])
                 assert abs(total - 1.0) < 1e-4
+
+    @pytest.mark.parametrize("cap", [None, 1])
+    def test_summary_reports_rate_and_capped(self, workspace, tmp_path, capsys, cap):
+        inp = self._sources(tmp_path)
+        out = tmp_path / "out.txt"
+        argv = ["translate", "--model", str(workspace["ckpt"]),
+                "--input", str(inp), "--output", str(out), "--beam", "2"]
+        if cap is not None:
+            argv += ["--max-len", str(cap)]
+        assert main(argv) == 0
+        tm = load_trained_model(workspace["ckpt"])
+        result = translate_corpus([tm.model], DEV_LINES, tm.src_vocab, tm.tgt_vocab, tm.merges,
+                                  "character", width=2, max_len=cap)
+        closed = sum(h.truncated for h in result.hypotheses)
+        if cap == 1:
+            assert closed > 0
+        summary = capsys.readouterr().out.strip()
+        match = re.fullmatch(r"translated (\d+) lines in [\d.]+ s \(([\d.]+) sent/s\), "
+                             r"(\d+) closed at the length cap -> (.+)", summary)
+        assert match, summary
+        assert int(match[1]) == len(DEV_LINES)
+        assert float(match[2]) > 0
+        assert int(match[3]) == closed
+        assert match[4] == str(out)
 
     def test_failure_leaves_no_output(self, workspace, tmp_path, capsys):
         inp = self._sources(tmp_path)

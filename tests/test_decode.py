@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from charnmt import decode
 from charnmt.decode import (
     Hypothesis,
     alignment_blocks,
@@ -16,9 +17,9 @@ from charnmt.decode import (
 )
 from charnmt.errors import ConfigError, ConsistencyError, EnsembleError
 from charnmt.model import sequence_log_prob
-from charnmt.textpipe import EOS_ID, RESERVED, MergeTable, Vocabulary
+from charnmt.textpipe import EOS_ID, RESERVED, MergeTable, Vocabulary, pad_rows
 
-from conftest import random_source, small_model
+from conftest import random_source, reference_beam_search, small_model
 
 
 class TestEnsembleLogProbs:
@@ -67,13 +68,13 @@ class TestBeamContracts:
     def test_width_below_one_rejected(self):
         m = small_model(0)
         with pytest.raises(ConfigError):
-            beam_search([m], np.array([4, 1]), width=0, max_len=5)
+            beam_search([m], np.array([4, 1]), width=0, max_len=5)[0]
 
     def test_vocab_mismatch_rejected(self):
         a = small_model(0, tgt_vocab=9)
         b = small_model(1, tgt_vocab=10)
         with pytest.raises(EnsembleError):
-            beam_search([a, b], np.array([4, 1]), width=2, max_len=5)
+            beam_search([a, b], np.array([4, 1]), width=2, max_len=5)[0]
 
     def test_immediate_eos_gives_empty_translation(self):
         m = small_model(2)
@@ -81,7 +82,7 @@ class TestBeamContracts:
         bias[EOS_ID] = 5.0
         m.store.assign("out.W_logit", np.zeros_like(m.store["out.W_logit"].data))
         m.store.assign("out.b_logit", bias)
-        hyps = beam_search([m], np.array([4, 5, 1]), width=3, max_len=10)
+        hyps = beam_search([m], np.array([4, 5, 1]), width=3, max_len=10)[0]
         best = hyps[0]
         assert best.tokens == [EOS_ID]
         expected = 5.0 - np.log(np.exp(bias).sum())
@@ -92,7 +93,7 @@ class TestBeamContracts:
         bias = np.zeros(9)
         bias[EOS_ID] = -1e6  # EOS effectively unreachable
         m.store.assign("out.b_logit", bias)
-        hyps = beam_search([m], np.array([4, 5, 1]), width=2, max_len=4)
+        hyps = beam_search([m], np.array([4, 5, 1]), width=2, max_len=4)[0]
         for h in hyps:
             assert h.truncated and h.finished
             assert len(h.tokens) == 5 and h.tokens[-1] == EOS_ID
@@ -103,7 +104,7 @@ class TestBeamContracts:
         m = small_model(seed, decoder="biscale" if seed % 2 else "base")
         src = random_source(rng)
         greedy = greedy_decode([m], src, max_len=12)[0]
-        beam = beam_search([m], src, width=1, max_len=12)[0]
+        beam = beam_search([m], src, width=1, max_len=12)[0][0]
         assert beam.tokens == greedy.tokens
         np.testing.assert_allclose(beam.score, greedy.score, atol=1e-9)
 
@@ -116,7 +117,7 @@ class TestBeamContracts:
             m = small_model(seed % 7, decoder="biscale" if seed % 3 == 0 else "base")
             src = random_source(rng)
             greedy = greedy_decode([m], src, max_len=10)[0]
-            wide = beam_search([m], src, width=5, max_len=10)
+            wide = beam_search([m], src, width=5, max_len=10)[0]
             assert wide[0].score >= greedy.score - 1e-9
 
     @pytest.mark.parametrize("seed", range(10))
@@ -124,8 +125,8 @@ class TestBeamContracts:
         rng = np.random.default_rng(100 + seed)
         m = small_model(seed)
         src = random_source(rng)
-        narrow = beam_search([m], src, width=2, max_len=10)
-        wide = beam_search([m], src, width=6, max_len=10)
+        narrow = beam_search([m], src, width=2, max_len=10)[0]
+        wide = beam_search([m], src, width=6, max_len=10)[0]
         assert wide[0].score >= narrow[0].score - 1e-9
 
     @pytest.mark.parametrize("seed", range(8))
@@ -133,13 +134,13 @@ class TestBeamContracts:
         rng = np.random.default_rng(200 + seed)
         m = small_model(seed, decoder="biscale" if seed % 2 else "base")
         src = random_source(rng)
-        for hyp in beam_search([m], src, width=3, max_len=10):
+        for hyp in beam_search([m], src, width=3, max_len=10)[0]:
             total, _, _ = sequence_log_prob(m, src, np.array(hyp.tokens))
             np.testing.assert_allclose(hyp.score, total, atol=1e-5)
 
     def test_scores_sorted_and_finished(self):
         m = small_model(5)
-        hyps = beam_search([m], np.array([4, 5, 6, 1]), width=4, max_len=12)
+        hyps = beam_search([m], np.array([4, 5, 6, 1]), width=4, max_len=12)[0]
         scores = [h.score for h in hyps]
         assert scores == sorted(scores, reverse=True)
         assert all(h.finished and h.tokens[-1] == EOS_ID for h in hyps)
@@ -147,8 +148,8 @@ class TestBeamContracts:
     def test_ensemble_of_clones_matches_single(self):
         m = small_model(6)
         src = np.array([4, 5, 1])
-        solo = beam_search([m], src, width=3, max_len=8)
-        duo = beam_search([m, m], src, width=3, max_len=8)
+        solo = beam_search([m], src, width=3, max_len=8)[0]
+        duo = beam_search([m, m], src, width=3, max_len=8)[0]
         assert [h.tokens for h in duo] == [h.tokens for h in solo]
         np.testing.assert_allclose(
             [h.score for h in duo], [h.score for h in solo], atol=1e-9
@@ -157,11 +158,144 @@ class TestBeamContracts:
     def test_length_normalize_changes_ranking_key_only(self):
         m = small_model(7)
         src = np.array([4, 5, 6, 1])
-        plain = beam_search([m], src, width=4, max_len=10)
-        normed = beam_search([m], src, width=4, max_len=10, length_normalize=True)
+        plain = beam_search([m], src, width=4, max_len=10)[0]
+        normed = beam_search([m], src, width=4, max_len=10, length_normalize=True)[0]
         assert {tuple(h.tokens) for h in plain} == {tuple(h.tokens) for h in normed}
         key = lambda h: h.score / len(h.tokens)
         assert [key(h) for h in normed] == sorted((key(h) for h in normed), reverse=True)
+
+
+def mixed_sources(seed, count=7, vocab_size=11):
+    """Sources of several lengths, so a padded batch of them has padding."""
+    rng = np.random.default_rng(seed)
+    sources = [random_source(rng, vocab_size) for _ in range(count)]
+    sources[0] = np.array([5, EOS_ID])
+    sources[1] = np.concatenate([rng.integers(4, vocab_size, size=8), [EOS_ID]])
+    return sources
+
+
+def assert_matches_reference(models, sources, width, caps, length_normalize=False):
+    """The batched search over `sources` returns, for every row, exactly the
+    per-sentence reference's ranked pool; returns the batched pools."""
+    source, lengths = pad_rows(sources)
+    pools = beam_search(models, source, width, np.array(caps), lengths, length_normalize)
+    # float64 agrees to summation order. In float32 a batch of another shape
+    # may round each step's log-probabilities differently by about one ulp,
+    # and a score sums one per token, so that bound is relative to the score.
+    wide = models[0].config.precision == "wide"
+    atol, rtol = (1e-10, 0) if wide else (1e-6, 1e-6)
+    assert len(pools) == len(sources)
+    for pool, src, cap in zip(pools, sources, caps):
+        want = reference_beam_search(models, src, width, cap, length_normalize)
+        assert [h.tokens for h in pool] == [h.tokens for h in want]
+        assert [h.truncated for h in pool] == [h.truncated for h in want]
+        np.testing.assert_allclose([h.score for h in pool], [h.score for h in want],
+                                   rtol=rtol, atol=atol)
+        for got, ref in zip(pool, want):
+            assert got.finished
+            np.testing.assert_allclose(got.alignment_matrix(), ref.alignment_matrix(),
+                                       rtol=0, atol=atol)
+    return pools
+
+
+class TestBatchedAgainstReference:
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    @pytest.mark.parametrize("decoder", ["base", "biscale"])
+    @pytest.mark.parametrize("precision", ["wide", "narrow"])
+    def test_single_model(self, width, decoder, precision):
+        m = small_model(width, decoder=decoder, precision=precision)
+        sources = mixed_sources(width)
+        assert_matches_reference([m], sources, width, [10] * len(sources))
+
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    def test_ensemble_of_different_models(self, width):
+        models = [small_model(21), small_model(22, decoder="biscale")]
+        sources = mixed_sources(20 + width)
+        assert_matches_reference(models, sources, width, [10] * len(sources))
+
+    @pytest.mark.parametrize("precision", ["wide", "narrow"])
+    def test_length_normalize(self, precision):
+        m = small_model(31, precision=precision)
+        sources = mixed_sources(31)
+        assert_matches_reference([m], sources, 4, [10] * len(sources), length_normalize=True)
+
+    @pytest.mark.parametrize("decoder", ["base", "biscale"])
+    def test_per_row_caps_close_some_rows(self, decoder):
+        # seed 47 has, for both decoders, rows that finish and rows the cap closes
+        m = small_model(47, decoder=decoder)
+        sources = mixed_sources(47, count=8)
+        caps = [1, 12, 2, 12, 1, 12, 3, 12]
+        pools = assert_matches_reference([m], sources, 3, caps)
+        truncated = [pool[0].truncated for pool in pools]
+        assert any(truncated) and not all(truncated)
+        for pool, cap in zip(pools, caps):
+            assert all(len(h.tokens) <= cap + 1 for h in pool)
+
+    @pytest.mark.parametrize("width", [2, 5])
+    def test_exact_ties_break_like_the_reference(self, width):
+        # a constant output layer ties every extension; EOS comes only at the
+        # cap, which then closes `width` hypotheses of one score per sentence
+        m = small_model(52)
+        bias = np.zeros(9)
+        bias[EOS_ID] = -30.0
+        m.store.assign("out.W_logit", np.zeros_like(m.store["out.W_logit"].data))
+        m.store.assign("out.b_logit", bias)
+        sources = mixed_sources(52, count=4)
+        pools = assert_matches_reference([m], sources, width, [3, 5, 4, 6])
+        assert all(len({h.score for h in pool}) < len(pool) for pool in pools)
+
+    def test_width_beyond_first_step_candidates(self):
+        m = small_model(51)
+        sources = mixed_sources(51, count=3)
+        assert_matches_reference([m], sources, 12, [6] * len(sources))
+
+
+class TestBatchedLaws:
+    @pytest.mark.parametrize("decoder", ["base", "biscale"])
+    def test_width_one_equals_batched_greedy(self, decoder):
+        m = small_model(61, decoder=decoder)
+        source, lengths = pad_rows(mixed_sources(61))
+        beams = beam_search([m], source, 1, 12, lengths)
+        greedy = greedy_decode([m], source, lengths, max_len=12)
+        assert [p[0].tokens for p in beams] == [g.tokens for g in greedy]
+        np.testing.assert_allclose([p[0].score for p in beams], [g.score for g in greedy],
+                                   rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("decoder", ["base", "biscale"])
+    def test_greedy_chain_never_pruned(self, decoder):
+        m = small_model(62, decoder=decoder)
+        source, lengths = pad_rows(mixed_sources(62, count=9))
+        pools = beam_search([m], source, 3, 10, lengths)
+        greedy = greedy_decode([m], source, lengths, max_len=10)
+        for pool, g in zip(pools, greedy):
+            # the chain either finished into the pool or was outscored there
+            assert g.tokens in [h.tokens for h in pool] or pool[0].score > g.score
+            assert pool[0].score >= g.score - 1e-9
+
+    def test_duplicate_ensemble_equals_single(self):
+        m = small_model(63)
+        source, lengths = pad_rows(mixed_sources(63))
+        solo = beam_search([m], source, 3, 10, lengths)
+        duo = beam_search([m, m], source, 3, 10, lengths)
+        for a, b in zip(solo, duo):
+            assert [h.tokens for h in a] == [h.tokens for h in b]
+            np.testing.assert_allclose([h.score for h in a], [h.score for h in b], atol=1e-9)
+
+    @pytest.mark.parametrize("decoder", ["base", "biscale"])
+    def test_score_equals_rescored_sum(self, decoder):
+        m = small_model(64, decoder=decoder)
+        sources = mixed_sources(64)
+        source, lengths = pad_rows(sources)
+        for pool, src in zip(beam_search([m], source, 3, 10, lengths), sources):
+            for hyp in pool:
+                total, _, _ = sequence_log_prob(m, src, np.array(hyp.tokens))
+                np.testing.assert_allclose(hyp.score, total, rtol=0, atol=1e-10)
+
+    def test_bad_caps_rejected(self):
+        m = small_model(65)
+        source, lengths = pad_rows(mixed_sources(65, count=3))
+        with pytest.raises(ConfigError):
+            beam_search([m], source, 2, np.array([4, 0, 4]), lengths)
 
 
 class TestGreedy:
@@ -201,6 +335,34 @@ class TestTranslateCorpus:
         src, tgt = _toy_vocabs()
         result = translate_corpus([m], [], src, tgt, MergeTable(), "character", width=2)
         assert result.texts == [] and result.hypotheses == []
+
+    def _count_searches(self, monkeypatch):
+        calls = []
+        search = decode.beam_search
+        monkeypatch.setattr(decode, "beam_search",
+                            lambda models, source, *a: calls.append(len(source))
+                            or search(models, source, *a))
+        return calls
+
+    @pytest.mark.parametrize("count", [0, 1, 70])
+    def test_one_search_per_chunk_in_input_order(self, monkeypatch, count):
+        models = [small_model(14, src_vocab=9, tgt_vocab=10),
+                  small_model(15, decoder="biscale", src_vocab=9, tgt_vocab=10)]
+        src, tgt = _toy_vocabs()
+        rng = np.random.default_rng(count)
+        lines = [" ".join(rng.choice(list("abcde"), size=rng.integers(1, 6)))
+                 for _ in range(count)]
+        calls = self._count_searches(monkeypatch)
+        result = translate_corpus(models, lines, src, tgt, MergeTable(), "character", width=3)
+        assert calls == [min(64, count - start) for start in range(0, count, 64)]
+        assert len(result.hypotheses) == len(result.texts) == count
+        for line, hyp, symbols in zip(lines, result.hypotheses, result.source_symbols):
+            assert symbols == line.split() + ["</s>"]
+            ids = np.array(src.encode(line.split()) + [EOS_ID])
+            cap = default_max_len(len(line.split()), "character")
+            want = reference_beam_search(models, ids, 3, cap)[0]
+            assert hyp.tokens == want.tokens
+            np.testing.assert_allclose(hyp.score, want.score, rtol=0, atol=1e-6)
 
     def test_vocab_size_mismatch_rejected(self):
         m = small_model(11)

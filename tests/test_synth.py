@@ -7,12 +7,13 @@ from charnmt.synth import (
     SOURCE_ALPHABET,
     TARGET_ALPHABET,
     copy_corpus,
-    copy_task_corpus,
     make_lexicon,
     split_pairs,
     transliterate,
     transliteration_corpus,
 )
+
+from conftest import copy_task_corpus
 
 
 class TestCopyTask:

@@ -376,6 +376,15 @@ class TestTrainLoop:
         resumed = train(mc, tc, run, resume=run.out_dir / "latest")
         assert resumed.log_path.read_bytes() == full.log_path.read_bytes()
 
+    def test_fresh_run_starts_its_log_empty(self, corpus, tmp_path):
+        paths, n_src, n_tgt = corpus
+        mc, tc = tiny_configs(n_src, n_tgt, max_steps=3, validate_every=2)
+        alone = train(mc, tc, TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "alone"}))
+        shared = TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "shared"})
+        train(mc, tc, shared)
+        again = train(mc, tc, shared)
+        assert again.log_path.read_bytes() == alone.log_path.read_bytes()
+
     def test_resume_rejects_architecture_change(self, corpus, tmp_path):
         paths, n_src, n_tgt = corpus
         mc, tc = tiny_configs(n_src, n_tgt, max_steps=0)
