@@ -50,6 +50,23 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def replace_into(path, write) -> None:
+    """Run `write(tmp_path)` then atomically rename the result into place,
+    so a failure leaves the old file and no temporary one. `write` may
+    instead be the text to write."""
+    if isinstance(write, str):
+        text = write
+        write = lambda tmp: tmp.write_text(text, encoding="utf-8")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(directory, config: dict, state: dict, tensors: dict, files: dict) -> Path:
     """Write a checkpoint. `files` maps role -> source path to copy in."""
     directory = Path(directory)

@@ -9,13 +9,13 @@ never leave partial files behind.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import replace_into
 from .config import RunConfig
 from .decode import alignment_blocks, format_alignment_block, translate_corpus
 from .errors import CharnmtError, ConfigError, ConsistencyError
@@ -36,22 +36,9 @@ def _read_lines(path) -> list[str]:
     return Path(path).read_text(encoding="utf-8").splitlines()
 
 
-def _replace_into(path, write) -> None:
-    """Run `write(tmp_path)` then atomically rename the result into place.
-    `write` may instead be the text to write."""
-    if isinstance(write, str):
-        text = write
-        write = lambda tmp: tmp.write_text(text, encoding="utf-8")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    write(tmp)
-    os.replace(tmp, path)
-
-
 def cmd_learn_bpe(args) -> int:
     table = learn_bpe(_read_lines(args.input), args.merges)
-    _replace_into(args.output, table.save)
+    replace_into(args.output, table.save)
     print(f"learned {len(table.rules)} merges -> {args.output}")
     return 0
 
@@ -63,7 +50,7 @@ def cmd_build_vocab(args) -> int:
         table = MergeTable.load(args.merges)
         lines = [" ".join(segment_line(l, "subword", table)) for l in lines]
     vocab = build_vocab(lines, unit, args.max_size)
-    _replace_into(args.output, vocab.save)
+    replace_into(args.output, vocab.save)
     print(f"wrote {len(vocab)} symbols -> {args.output}")
     return 0
 
@@ -108,9 +95,9 @@ def cmd_translate(args) -> int:
         length_normalize=args.length_normalize,
     )
     seconds = time.perf_counter() - start
-    _replace_into(args.output, "".join(t + "\n" for t in result.texts))
+    replace_into(args.output, "".join(t + "\n" for t in result.texts))
     if args.dump_align is not None:
-        _replace_into(args.dump_align, alignment_blocks(result, first.tgt_vocab))
+        replace_into(args.dump_align, alignment_blocks(result, first.tgt_vocab))
     closed = sum(h.truncated for h in result.hypotheses)
     print(f"translated {len(lines)} lines in {seconds:.2f} s "
           f"({len(lines) / max(seconds, 1e-9):.1f} sent/s), {closed} closed at the length cap "
@@ -156,7 +143,7 @@ def cmd_align(args) -> int:
         _, _, align = sequence_log_prob(tm.model, src_ids, tgt_ids)
         blocks.append(format_alignment_block(
             src_syms + [eos_src], tgt_syms + [eos_tgt], align))
-    _replace_into(args.output, "\n\n".join(blocks) + ("\n" if blocks else ""))
+    replace_into(args.output, "\n\n".join(blocks) + ("\n" if blocks else ""))
     print(f"aligned {len(pairs)} pairs -> {args.output}")
     return 0
 

@@ -5,11 +5,16 @@ one-element case. Ensembles average output *probabilities* arithmetically
 (scores stay log-probabilities) and require identical target vocabularies.
 Alignment rows for an ensemble are the mean of the members' rows.
 
-Both searches decode a batch of padded sources at once. Beam search steps
-the live hypotheses of every sentence in one model call per step; each
-sentence keeps its own completed pool, greedy chain, stop test and length
-cap, and leaves the batch when it finishes. `translate_corpus` feeds it
-fixed-size chunks of a corpus.
+Both searches decode a batch of padded sources at once and keep the same
+books: each step gathers the live rows' annotations and decoder states
+(`_take_rows`), each row has its own length cap, rows leave the batch as
+they finish, and tokens and alignment rows are kept as back-pointers read
+out once at the end (`_read_pools`). Greedy search takes the argmax itself,
+so width-1 beam search = greedy is a law between two implementations. Beam
+search steps the live hypotheses of every sentence in one model call per
+step; each sentence keeps its own completed pool, greedy chain and stop
+test. `translate_corpus` and validation feed them chunks of `SEARCH_CHUNK`
+sentences.
 
 Scores carry no length normalization by default: a hypothesis score is the
 exact sum of its chosen per-step log-probabilities, including the final EOS.
@@ -103,56 +108,51 @@ def _ensemble_step(models, ctxs, states, y_prev):
     return ensemble_log_probs(logps), np.mean(alphas, axis=0), new_states
 
 
-def greedy_decode(models, source, lengths=None, max_len: int = 100) -> list[Hypothesis]:
-    """Argmax decoding over a whole batch at once.
-
-    `source` is (B, T_x) (or a single 1-D sentence); returns one Hypothesis
-    per row. Ties at the argmax resolve to the lowest token index.
-    """
+def _encode_batch(models, source, max_len, lengths):
+    """Encode a padded batch for a search: its per-row caps and lengths,
+    each model's annotations and initial decoder states."""
     _check_ensemble(models)
-    if max_len < 1:
-        raise ConfigError(f"max_len must be positive, got {max_len}")
     source = np.asarray(source)
     if source.ndim == 1:
         source = source[None, :]
-    B = source.shape[0]
+    S, T = source.shape
+    caps = np.broadcast_to(np.asarray(max_len), (S,))
+    if caps.min() < 1:
+        raise ConfigError(f"max_len must be positive, got {caps.min()}")
+    lengths = np.full(S, T) if lengths is None else np.asarray(lengths)
     ctxs = [m.encode(source, lengths) for m in models]
-    states = [m.initial_state(ctx) for m, ctx in zip(models, ctxs)]
-    y_prev = np.full(B, BOS_ID)
-    done = np.zeros(B, dtype=bool)
-    tokens = [[] for _ in range(B)]
-    scores = np.zeros(B)
-    aligns = [[] for _ in range(B)]
-    for _ in range(max_len):
-        avg, alpha, states = _ensemble_step(models, ctxs, states, y_prev)
-        pick = avg.argmax(axis=1)
-        for i in range(B):
-            if done[i]:
-                continue
-            tokens[i].append(int(pick[i]))
-            scores[i] += avg[i, pick[i]]
-            aligns[i].append(alpha[i].copy())
-        done |= pick == EOS_ID
-        y_prev = np.where(done, EOS_ID, pick)
-        if done.all():
-            break
-    truncated = ~done
-    if truncated.any():
-        avg, alpha, _ = _ensemble_step(models, ctxs, states, y_prev)
-        for i in np.nonzero(truncated)[0]:
-            tokens[i].append(EOS_ID)
-            scores[i] += avg[i, EOS_ID]
-            aligns[i].append(alpha[i].copy())
-    return [
-        Hypothesis(
-            tokens=tokens[i],
-            score=float(scores[i]),
-            alignments=aligns[i],
-            finished=True,
-            truncated=bool(truncated[i]),
-        )
-        for i in range(B)
-    ]
+    return caps, lengths, ctxs, [m.initial_state(ctx) for m, ctx in zip(models, ctxs)]
+
+
+def greedy_decode(models, source, lengths=None, max_len=100) -> list[Hypothesis]:
+    """Argmax decoding over a whole batch at once.
+
+    `source` is (S, T_x) (or a single 1-D sentence) with optional `lengths`;
+    `max_len` is one cap or one per row. Returns one Hypothesis per row.
+    Ties at the argmax resolve to the lowest token index; a row at its cap
+    is force-closed with a scored EOS.
+    """
+    caps, lengths, ctxs, states = _encode_batch(models, source, max_len, lengths)
+    sent = np.arange(len(caps))  # sentence of each live row
+    y_prev = np.full(len(sent), BOS_ID)
+    score = np.zeros(len(sent))
+    alphas, parents, tokens, pool = [], [], [], []
+    t = 0
+    while len(sent):
+        avg, alpha, stepped = _ensemble_step(
+            models, [_take_rows(c, sent) for c in ctxs], states, y_prev)
+        alphas.append(alpha)
+        closing = caps[sent] == t
+        pick = np.where(closing, EOS_ID, avg.argmax(axis=1))
+        score = score + avg[np.arange(len(sent)), pick]
+        done, stay = np.nonzero(pick == EOS_ID)[0], np.nonzero(pick != EOS_ID)[0]
+        pool.append((sent[done], score[done], done, t, closing[done]))
+        parents.append(stay)
+        tokens.append(pick[stay])
+        states = [_take_rows(s, stay) for s in stepped]
+        sent, y_prev, score = sent[stay], pick[stay], score[stay]
+        t += 1
+    return [p[0] for p in _read_pools(len(caps), lengths, pool, alphas, parents, tokens, False)]
 
 
 def beam_search(models, source, width: int, max_len, lengths=None,
@@ -182,18 +182,8 @@ def beam_search(models, source, width: int, max_len, lengths=None,
     """
     if width < 1:
         raise ConfigError(f"beam width must be at least 1, got {width}")
-    _check_ensemble(models)
-    source = np.asarray(source)
-    if source.ndim == 1:
-        source = source[None, :]
-    S, T = source.shape
-    caps = np.broadcast_to(np.asarray(max_len), (S,))
-    if caps.min() < 1:
-        raise ConfigError(f"max_len must be positive, got {caps.min()}")
-    lengths = np.full(S, T) if lengths is None else np.asarray(lengths)
-    V = models[0].config.tgt_vocab_size
-    ctxs = [m.encode(source, lengths) for m in models]
-    states = [m.initial_state(ctx) for m, ctx in zip(models, ctxs)]
+    caps, lengths, ctxs, states = _encode_batch(models, source, max_len, lengths)
+    S, V = len(caps), models[0].config.tgt_vocab_size
 
     sent = np.arange(S)  # sentence of each active position
     n_live = np.ones(S, dtype=int)  # live rows are grouped by sentence, in slot order
@@ -293,7 +283,7 @@ class TranslationResult:
     source_symbols: list[list[str]]  # per sentence, including the EOS symbol
 
 
-_SEARCH_CHUNK = 64  # sentences per beam_search call
+SEARCH_CHUNK = 64  # sentences per search call
 
 
 def translate_corpus(models, lines, src_vocab: Vocabulary, tgt_vocab: Vocabulary,
@@ -320,8 +310,8 @@ def translate_corpus(models, lines, src_vocab: Vocabulary, tgt_vocab: Vocabulary
     caps = np.array([max_len if max_len is not None else default_max_len(len(s), unit)
                      for s in segmented], dtype=int)
     hyps = []
-    for start in range(0, len(lines), _SEARCH_CHUNK):
-        part = slice(start, start + _SEARCH_CHUNK)
+    for start in range(0, len(lines), SEARCH_CHUNK):
+        part = slice(start, start + SEARCH_CHUNK)
         source, lengths = pad_rows([src_vocab.encode(s) + [EOS_ID] for s in segmented[part]])
         pools = beam_search(models, source, width, caps[part], lengths, length_normalize)
         hyps += [pool[0] for pool in pools]

@@ -18,7 +18,8 @@ class ContractError(CharnmtError):
 
 
 class NonFiniteError(CharnmtError):
-    """NaN or Inf produced by a primitive while finite checks are enabled."""
+    """A training loss or gradient norm is NaN or Inf; the trainer raises
+    it before that step's update reaches the parameters."""
 
 
 class ConfigError(CharnmtError):

@@ -12,9 +12,9 @@ most of their time in that bookkeeping. The composite cell it must agree
 with is kept in the test suite (`tests/conftest.py`) as the oracle.
 
 Two precision modes exist: "wide" (float64, for gradient checks) and "narrow"
-(float32, default for training). A graph is pinned to one mode; mixing dtypes
-inside a graph is an error. Outside any active graph the same primitives run
-in plain inference mode with no recording.
+(float32, default for training). A graph is pinned to its store's mode;
+mixing dtypes inside a graph is an error. Outside any active graph the same
+primitives run in plain inference mode with no recording.
 """
 
 from __future__ import annotations
@@ -28,20 +28,11 @@ from .errors import (
     ContractError,
     DimensionError,
     DomainError,
-    NonFiniteError,
 )
 
 PRECISIONS = {"wide": np.float64, "narrow": np.float32}
 
 _state = threading.local()
-
-_check_finite = False
-
-
-def debug_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf detection at node boundaries (off by default)."""
-    global _check_finite
-    _check_finite = enabled
 
 
 def _graph_stack():
@@ -139,14 +130,9 @@ class Graph:
     once. A graph is confined to the thread that created it.
     """
 
-    def __init__(self, store: ParameterStore | None = None, precision: str | None = None):
-        if store is not None and precision is not None and store.precision != precision:
-            raise ContractError(
-                f"store precision {store.precision!r} != graph precision {precision!r}"
-            )
+    def __init__(self, store: ParameterStore):
         self.store = store
-        self.precision = precision or (store.precision if store else "narrow")
-        self.dtype = PRECISIONS[self.precision]
+        self.dtype = store.dtype
         self.nodes: list[_Node] = []
         self._produced: set[int] = set()
 
@@ -161,14 +147,12 @@ class Graph:
 
 
 def _record(op, inputs, out_data, grad_fn) -> Tensor:
-    if _check_finite and not np.all(np.isfinite(out_data)):
-        raise NonFiniteError(f"non-finite values produced by {op!r}")
     out = Tensor(out_data)
     g = _active()
     if g is not None:
         if out_data.dtype != g.dtype:
             raise ContractError(
-                f"{op!r} produced dtype {out_data.dtype} inside a {g.precision} graph"
+                f"{op!r} produced dtype {out_data.dtype} inside a {g.store.precision} graph"
             )
         g.nodes.append(_Node(op, inputs, out, grad_fn))
         g._produced.add(id(out))
@@ -455,8 +439,6 @@ def backward(graph: Graph, loss: Tensor) -> dict[str, Tensor]:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
     if id(loss) not in graph._produced:
         raise ContractError("loss is not a node of this graph")
-    if graph.store is None:
-        raise ContractError("graph has no parameter store bound")
 
     acc: dict[int, np.ndarray] = {id(loss): np.asarray(1.0, dtype=graph.dtype)}
     for node in reversed(graph.nodes):

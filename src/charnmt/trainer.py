@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
-from .decode import default_max_len, greedy_decode, hypothesis_text
+from .checkpoint import load_checkpoint, replace_into, save_checkpoint
+from .decode import SEARCH_CHUNK, default_max_len, greedy_decode, hypothesis_text
 from .errors import ConfigError, ConsistencyError, ContractError, CorpusError, NonFiniteError
 from .metrics import bleu
 from .model import Model, ModelConfig, forced_log_probs, init_params, param_spec
@@ -261,16 +261,17 @@ def _segment_pairs(pairs, merges, unit):
 
 
 def greedy_corpus_bleu(model: Model, src_lines, ref_lines, src_vocab, merges,
-                       tgt_vocab, unit, chunk: int = 64) -> float:
-    """BLEU of batched greedy decoding against raw reference lines."""
+                       tgt_vocab, unit) -> float:
+    """BLEU of batched greedy decoding against raw reference lines, each
+    line capped at its own default length."""
+    rows = [src_vocab.encode(segment_line(l, "subword", merges)) + [EOS_ID] for l in src_lines]
     texts = []
-    for start in range(0, len(src_lines), chunk):
-        part = src_lines[start : start + chunk]
-        rows = [src_vocab.encode(segment_line(l, "subword", merges)) + [EOS_ID] for l in part]
-        mat, lengths = pad_rows(rows)
-        cap = max(default_max_len(len(r) - 1, unit) for r in rows)
-        for hyp in greedy_decode([model], mat, lengths, cap):
-            texts.append(hypothesis_text(hyp, tgt_vocab, unit))
+    for start in range(0, len(rows), SEARCH_CHUNK):
+        part = rows[start : start + SEARCH_CHUNK]
+        mat, lengths = pad_rows(part)
+        caps = [default_max_len(len(r) - 1, unit) for r in part]
+        texts += [hypothesis_text(h, tgt_vocab, unit)
+                  for h in greedy_decode([model], mat, lengths, caps)]
     return bleu(texts, ref_lines).bleu
 
 
@@ -293,7 +294,7 @@ def _trim_log(path: Path, step: int) -> None:
         if not line.endswith("\n") or int(line.split("\t", 1)[0]) > step:
             break
         kept.append(line)
-    path.write_text("".join(kept), encoding="utf-8")
+    replace_into(path, "".join(kept))
 
 
 def _batch_stream(pairs, src_vocab, tgt_vocab, config: TrainConfig, epoch: int, start: int):
@@ -404,7 +405,6 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
                 dev_bleu = greedy_corpus_bleu(
                     model, dev_src_lines, dev_ref_lines, src_vocab, merges,
                     tgt_vocab, train_config.target_unit,
-                    chunk=train_config.batch_size,
                 )
                 if dev_nll < best_nll:
                     best_nll = dev_nll
@@ -425,7 +425,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
     return TrainResult(
         steps=opt.step,
         latest_dir=latest_dir,
-        best_dir=best_dir if best_dir.exists() else None,
+        best_dir=best_dir if math.isfinite(best_nll) and best_dir.exists() else None,
         best_dev_nll=best_nll if math.isfinite(best_nll) else None,
         log_path=log_path,
     )

@@ -296,6 +296,8 @@ class TestBatchedLaws:
         source, lengths = pad_rows(mixed_sources(65, count=3))
         with pytest.raises(ConfigError):
             beam_search([m], source, 2, np.array([4, 0, 4]), lengths)
+        with pytest.raises(ConfigError):
+            greedy_decode([m], source, lengths, np.array([4, 0, 4]))
 
 
 class TestGreedy:
@@ -313,6 +315,28 @@ class TestGreedy:
             solo = greedy_decode([m], s, max_len=12)[0]
             assert batched[i].tokens == solo.tokens
             np.testing.assert_allclose(batched[i].score, solo.score, atol=1e-9)
+
+    @pytest.mark.parametrize("decoder", ["base", "biscale"])
+    def test_per_row_caps_match_width_one_reference(self, decoder):
+        m = small_model(47, decoder=decoder)
+        sources = mixed_sources(47, count=8)
+        caps = [1, 12, 2, 12, 1, 12, 3, 12]
+        source, lengths = pad_rows(sources)
+        hyps = greedy_decode([m], source, lengths, np.array(caps))
+        assert any(h.truncated for h in hyps) and not all(h.truncated for h in hyps)
+        for hyp, src, cap in zip(hyps, sources, caps):
+            want = reference_beam_search([m], src, 1, cap)[0]
+            assert hyp.tokens == want.tokens and hyp.truncated == want.truncated
+            np.testing.assert_allclose(hyp.score, want.score, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(hyp.alignment_matrix(), want.alignment_matrix(),
+                                       rtol=0, atol=1e-10)
+
+    def test_batched_alignments_cover_own_source_only(self):
+        m = small_model(61)
+        sources = mixed_sources(61)
+        source, lengths = pad_rows(sources)
+        for hyp, src in zip(greedy_decode([m], source, lengths, max_len=12), sources):
+            assert hyp.alignment_matrix().shape == (len(hyp.tokens), len(src))
 
     def test_alignment_row_per_token(self):
         m = small_model(9)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charnmt import numerics as nm
-from charnmt.errors import ContractError, DimensionError, DomainError, NonFiniteError
+from charnmt.errors import ContractError, DimensionError, DomainError
 
 from fdcheck import assert_grads_close, finite_difference_grads
 
@@ -287,12 +287,3 @@ def test_precision_mixing_rejected():
     with nm.Graph(store):
         with pytest.raises(ContractError):
             nm.tanh(nm.tensor([1.0], "wide"))
-
-
-def test_debug_checks_flag_non_finite():
-    nm.debug_checks(True)
-    try:
-        with pytest.raises(NonFiniteError):
-            nm.mul_const(nm.tensor([1.0], "wide"), np.array([np.inf]))
-    finally:
-        nm.debug_checks(False)

@@ -7,8 +7,10 @@ from pathlib import Path
 
 from charnmt import decode
 from charnmt.textpipe import RESERVED, MergeTable, Vocabulary
+from charnmt.trainer import TrainPaths, train
 
 from conftest import small_model
+from test_trainer import corpus_files, tiny_configs
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -47,3 +49,16 @@ def test_translate_corpus_runs_through_the_traced_search():
         tracer.uninstall()
     assert tracer.layers["decode.beam_search"].calls > 0
     assert tracer.counts["search_rows"] > 0
+
+
+def test_train_validates_through_the_traced_bleu(tmp_path):
+    paths, n_src, n_tgt = corpus_files(tmp_path / "corpus")
+    mc, tc = tiny_configs(n_src, n_tgt, max_steps=2, validate_every=1)
+    tracer = load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        train(mc, tc, TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "run"}))
+    finally:
+        tracer.uninstall()
+    # each of the two validations enters `_dev_nll` and `greedy_corpus_bleu`
+    assert tracer.layers["trainer.validation"].calls == 4

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import charnmt.checkpoint as checkpoint_mod
 import charnmt.model as model_mod
 import charnmt.trainer as trainer_mod
 from charnmt.checkpoint import load_checkpoint, save_checkpoint
+from charnmt.decode import default_max_len
 from charnmt.errors import ConfigError, ConsistencyError, ContractError, NonFiniteError
 from charnmt.model import ModelConfig
 from charnmt.numerics import Graph, ParameterStore, backward
@@ -17,7 +19,10 @@ from charnmt.textpipe import (
     BOS_ID,
     EOS_ID,
     PAD_ID,
+    RESERVED,
     Batch,
+    MergeTable,
+    Vocabulary,
     build_vocab,
     learn_bpe,
     segment_line,
@@ -385,6 +390,29 @@ class TestTrainLoop:
         again = train(mc, tc, shared)
         assert again.log_path.read_bytes() == alone.log_path.read_bytes()
 
+    def test_fresh_run_never_reports_an_earlier_best(self, corpus, tmp_path):
+        paths, n_src, n_tgt = corpus
+        run = TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "run"})
+        earlier = train(*tiny_configs(n_src, n_tgt, max_steps=2, validate_every=2), run)
+        assert earlier.best_dir is not None
+        # this run ends before its first validation
+        result = train(*tiny_configs(n_src, n_tgt, max_steps=1, validate_every=2), run)
+        assert result.best_dir is None and result.best_dev_nll is None
+
+    def test_log_trim_keeps_the_old_log_when_the_rename_fails(self, tmp_path, monkeypatch):
+        log = tmp_path / "train.log"
+        log.write_text("1\t0.5\n2\t0.4\n3\t0.3\n", encoding="utf-8")
+        before = log.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(checkpoint_mod.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            trainer_mod._trim_log(log, 1)
+        assert log.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["train.log"]
+
     def test_resume_rejects_architecture_change(self, corpus, tmp_path):
         paths, n_src, n_tgt = corpus
         mc, tc = tiny_configs(n_src, n_tgt, max_steps=0)
@@ -509,3 +537,28 @@ class TestMalformedCheckpoint:
         with pytest.raises(ConsistencyError,
                            match=r"'adam\.v\.enc_fw\.W_reset' has shape \(2, 2\)"):
             train(mc, tc, run, resume=bad)
+
+
+def test_greedy_bleu_text_does_not_depend_on_neighbours(monkeypatch):
+    # reserved symbols (EOS too) unreachable, so every line runs to its cap
+    # with one character per step: alone, or next to a longer line with a
+    # longer cap, a line must decode to the same text
+    m = small_model(16, src_vocab=9, tgt_vocab=10)
+    bias = np.zeros(10)
+    bias[: len(RESERVED)] = -1e6
+    m.store.assign("out.b_logit", bias)
+    src = Vocabulary("subword", list(RESERVED) + list("abcde"))
+    tgt = Vocabulary("character", list(RESERVED) + list("uvwxy "))
+    texts = []
+    real_bleu = trainer_mod.bleu
+    monkeypatch.setattr(trainer_mod, "bleu",
+                        lambda hyps, refs: texts.append(hyps) or real_bleu(hyps, refs))
+
+    def decoded(lines):
+        trainer_mod.greedy_corpus_bleu(m, lines, ["u"] * len(lines), src, MergeTable(),
+                                       tgt, "character")
+        return texts[-1]
+
+    alone = decoded(["a"])[0]
+    assert len(alone) == default_max_len(1, "character")
+    assert decoded(["a", "a b c d e"])[0] == alone
