@@ -11,11 +11,13 @@ verifies them. Writes go to a uniquely named sibling temporary directory
 first and are renamed into place, so a crash never leaves a half-written
 checkpoint under the final name. An existing checkpoint is renamed aside
 and deleted only once the new one is in place; if that rename fails, the
-old one is put back.
+old one is put back. If a kill lands between the two renames, the next
+load or save under the final name renames the old one back.
 """
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import os
 import shutil
@@ -74,6 +76,7 @@ def save_checkpoint(directory, config: dict, state: dict, tensors: dict, files: 
         if "\n" in str(value) or "\t" in str(value):
             raise ContractError(f"config value for {key!r} contains control characters")
     directory.parent.mkdir(parents=True, exist_ok=True)
+    _restore_aside(directory)
     tmp = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}.tmp")
     tmp.mkdir()
     try:
@@ -97,6 +100,17 @@ def _swap_in(tmp: Path, directory: Path) -> None:
         os.replace(old, directory)
         raise
     shutil.rmtree(old)
+
+
+def _restore_aside(directory: Path) -> None:
+    """Rename back a lone checkpoint under `_swap_in`'s aside name when
+    `directory` itself is missing."""
+    if directory.exists():
+        return
+    aside = list(directory.parent.glob(
+        f".{glob.escape(directory.name)}.{'[0-9a-f]' * 32}.old"))
+    if len(aside) == 1:
+        os.replace(aside[0], directory)
 
 
 def _write_contents(tmp: Path, config: dict, state: dict, tensors: dict, files: dict) -> None:
@@ -164,6 +178,7 @@ def _parse_kv(lines, where):
 def load_checkpoint(directory) -> Checkpoint:
     """Read and verify a checkpoint directory."""
     directory = Path(directory)
+    _restore_aside(directory)
     manifest = directory / MANIFEST_NAME
     if not manifest.is_file():
         raise IntegrityError(f"{directory} is not a checkpoint (no {MANIFEST_NAME})")

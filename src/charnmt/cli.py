@@ -9,11 +9,17 @@ never leave partial files behind.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
+# Before numpy loads: one BLAS thread unless the user set a count. The
+# matrices are small, and spare threads slow a step tenfold under contention.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
 
 from .checkpoint import replace_into
 from .config import RunConfig

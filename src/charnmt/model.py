@@ -23,21 +23,14 @@ from .textpipe import BOS_ID
 from .numerics import (
     ParameterStore,
     Tensor,
-    add,
     affine,
-    attn_mix,
+    attention,
+    biscale,
     concat,
     embed,
     gru,
     linear,
-    log_softmax,
-    mul,
-    mul_const,
-    one_minus,
-    pick,
-    reshape,
-    sigmoid,
-    softmax,
+    output_layer,
     stack_time,
     tanh,
     tensor,
@@ -163,10 +156,12 @@ def _zeros(shape, store):
     return tensor(np.zeros(shape), store.precision)
 
 
-def gru_cell(store: ParameterStore, prefix: str, x: Tensor, h_prev: Tensor) -> Tensor:
-    """One GRU update, reset gate applied to h_prev inside the candidate."""
+def gru_cell(store: ParameterStore, prefix: str, x: Tensor, h_prev: Tensor,
+             mask=None) -> Tensor:
+    """One GRU update, reset gate applied to h_prev inside the candidate;
+    rows where `mask` (B, 1) is 0 keep h_prev."""
     return gru(x, h_prev, *(store[f"{prefix}.{kind}_{gate}"]
-                            for kind in ("W", "U", "b") for gate in ("reset", "update", "cand")))
+                            for kind in "WUb" for gate in ("reset", "update", "cand")), mask)
 
 
 @dataclass
@@ -201,23 +196,17 @@ def encode(store: ParameterStore, config: ModelConfig, source, lengths=None) -> 
     lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(float)
 
-    emb_table = store["src_emb"]
-    xs = [embed(emb_table, source[:, t]) for t in range(T)]
+    xs = [embed(store["src_emb"], source[:, t]) for t in range(T)]
 
     def masked_chain(prefix, order):
-        h = _zeros((B, config.d_enc), store)
-        states = {}
+        h, states = _zeros((B, config.d_enc), store), [None] * T
         for t in order:
-            h_new = gru_cell(store, prefix, xs[t], h)
-            m = mask[:, t : t + 1]
-            h = add(mul_const(h_new, m), mul_const(h, 1.0 - m))
-            states[t] = h
-        return states, h
+            h = states[t] = gru_cell(store, prefix, xs[t], h, mask[:, t : t + 1])
+        return stack_time(states), h
 
     fw, _ = masked_chain("enc_fw", range(T))
     bw, backward_head = masked_chain("enc_bw", range(T - 1, -1, -1))
-    rows = [concat([fw[t], bw[t]]) for t in range(T)]
-    annotations = stack_time(rows)
+    annotations = concat([fw, bw])
     keys = linear(annotations, store["att.W_key"])
     return ContextSet(annotations, keys, mask, lengths, backward_head)
 
@@ -233,13 +222,9 @@ def attend(store: ParameterStore, y_emb: Tensor, query: Tensor, ctx: ContextSet)
     state), softmax into alignment weights, and mix the annotations."""
     if ctx.max_len == 0:
         raise ContractError("attend: empty context set")
-    step_part = add(affine(y_emb, store["att.W_emb"], store["att.b"]),
-                    linear(query, store["att.W_query"]))
-    B = step_part.shape[0]
-    hidden = tanh(add(ctx.keys, reshape(step_part, (B, 1, step_part.shape[-1]))))
-    scores = reshape(linear(hidden, store["att.v"]), (B, ctx.max_len))
-    alpha = softmax(scores, mask=ctx.mask)
-    return AttentionOutput(context=attn_mix(alpha, ctx.annotations), alpha=alpha)
+    return AttentionOutput(*attention(
+        y_emb, query, ctx.keys, ctx.annotations, ctx.mask,
+        *(store[f"att.{name}"] for name in ("W_emb", "W_query", "b", "v"))))
 
 
 @dataclass
@@ -267,10 +252,11 @@ class BiScaleState:
     h2_carried: Tensor
 
 
-def _output_log_probs(store, y_emb, dec_out, c):
-    """Log-probabilities over the target vocabulary for the next symbol."""
-    hidden = tanh(affine(concat([y_emb, dec_out, c]), store["out.W_hidden"], store["out.b_hidden"]))
-    return log_softmax(affine(hidden, store["out.W_logit"], store["out.b_logit"]))
+def _output_log_probs(store, parts, targets=None):
+    """Log-probabilities of the next symbol from [previous-symbol embedding,
+    *decoder output, context]; with `targets`, only the targets' entries."""
+    return output_layer(parts, store["out.W_hidden"], store["out.b_hidden"],
+                        store["out.W_logit"], store["out.b_logit"], targets)
 
 
 class _Decoder:
@@ -297,8 +283,8 @@ class _BaseDecoder(_Decoder):
         h2 = gru_cell(store, "dec2", h1, state.h2)
         return BaseDecoderState(h1, h2)
 
-    def output_vector(self, state):
-        return state.h2
+    def output_parts(self, state):
+        return [state.h2]
 
 
 class _BiScaleDecoder(_Decoder):
@@ -321,30 +307,18 @@ class _BiScaleDecoder(_Decoder):
         layer's gate g1 opens (i.e. where the faster layer is about to reset
         itself).
         """
-        ins1 = concat([y_emb, state.h1_carried, state.h2_feedback, c])
-        h1 = tanh(affine(ins1, store["bi.W_h1"], store["bi.b_h1"]))
-        g1 = sigmoid(affine(ins1, store["bi.W_g1"], store["bi.b_g1"]))
-        reset = mul(g1, h1)
-        ins2 = concat([reset, state.h2_carried, c])
-        cand = tanh(affine(ins2, store["bi.W_h2"], store["bi.b_h2"]))
-        h2 = add(mul(one_minus(g1), state.h2), mul(g1, cand))
-        g2 = sigmoid(affine(ins2, store["bi.W_g2"], store["bi.b_g2"]))
-        return BiScaleState(
-            h1=h1, h2=h2, g1=g1, g2=g2, cand=cand,
-            h1_carried=mul(one_minus(g1), h1),
-            h2_feedback=mul(g1, h2),
-            h2_carried=mul(one_minus(g2), h2),
-        )
+        return BiScaleState(*biscale(
+            y_emb, state.h1_carried, state.h2_feedback, state.h2, state.h2_carried, c,
+            *(store[f"bi.{kind}_{name}"] for name in ("h1", "g1", "h2", "g2") for kind in "Wb")))
 
-    def output_vector(self, state):
-        return concat([state.h1, state.h2])
+    def output_parts(self, state):
+        return [state.h1, state.h2]
 
 
 def make_decoder(kind: str):
-    if kind == "base":
-        return _BaseDecoder()
-    if kind == "biscale":
-        return _BiScaleDecoder()
+    for cls in (_BaseDecoder, _BiScaleDecoder):
+        if cls.kind == kind:
+            return cls()
     raise ConfigError(f"unknown decoder kind {kind!r}")
 
 
@@ -370,37 +344,42 @@ class Model:
     def initial_state(self, ctx: ContextSet):
         return self.decoder.initial_state(self.store, ctx)
 
-    def step_log_probs(self, y_prev, state, ctx: ContextSet):
-        """Advance one target position.
-
-        Attends with the previous state as query, steps the decoder on the
-        resulting context, scores the next symbol. Returns (log-probability
-        Tensor (B, |V_y|), new state, alignment row Tensor (B, T_x)).
-        """
+    def advance(self, y_prev, state, ctx: ContextSet):
+        """One target position's recurrence: attend with the previous state
+        as query, step the decoder on the resulting context. Returns
+        (output-layer inputs, new state, alignment row Tensor (B, T_x))."""
         _check_ids(y_prev, self.config.tgt_vocab_size, "target")
         y_emb = embed(self.store["tgt_emb"], np.asarray(y_prev))
         att = attend(self.store, y_emb, self.decoder.query(state, self.config.attention_query), ctx)
         new_state = self.decoder.step(self.store, y_emb, state, att.context)
-        logp = _output_log_probs(self.store, y_emb, self.decoder.output_vector(new_state), att.context)
-        return logp, new_state, att.alpha
+        return [y_emb, *self.decoder.output_parts(new_state), att.context], new_state, att.alpha
+
+    def step_log_probs(self, y_prev, state, ctx: ContextSet):
+        """Advance one target position and score the next symbol. Returns
+        (log-probability Tensor (B, |V_y|), new state, alignment row)."""
+        parts, new_state, alpha = self.advance(y_prev, state, ctx)
+        return _output_log_probs(self.store, parts), new_state, alpha
 
 
 def forced_log_probs(model: Model, source, src_lengths, target):
     """Teacher-forced pass over a batch.
 
-    `target` is (B, T) holding BOS + symbols + EOS (+ PAD). Returns the
-    picked log-probability Tensor of shape (B, T-1) — position j scores
-    target[:, j+1] — and the list of T-1 alignment Tensors.
+    `target` is (B, T) holding BOS + symbols + EOS (+ PAD). The recurrence
+    runs position by position; the output layer then runs once over all
+    positions, since under teacher forcing it never feeds the recurrence.
+    Returns the picked log-probability Tensor of shape (B, T-1) — position
+    j scores target[:, j+1] — and the list of T-1 alignment Tensors.
     """
     target = np.asarray(target)
     ctx = model.encode(source, src_lengths)
     state = model.initial_state(ctx)
-    picks, alphas = [], []
+    steps, alphas = [], []
     for t in range(target.shape[1] - 1):
-        logp, state, alpha = model.step_log_probs(target[:, t], state, ctx)
-        picks.append(reshape(pick(logp, target[:, t + 1]), (target.shape[0], 1)))
+        parts, state, alpha = model.advance(target[:, t], state, ctx)
+        steps.append(parts)
         alphas.append(alpha)
-    return concat(picks), alphas
+    stacked = [stack_time(list(column)) for column in zip(*steps)]
+    return _output_log_probs(model.store, stacked, target[:, 1:]), alphas
 
 
 def sequence_log_prob(model: Model, source, target):

@@ -5,11 +5,13 @@ a node recording its inputs, output and a backward closure. `backward` walks
 the tape once in reverse and returns a gradient for every named parameter in
 the graph's `ParameterStore`.
 
-Most primitives are single operations. `gru` is the exception: a whole GRU
-cell fused into one node with a hand-written backward, because a cell built
-from single operations records about 15 nodes and the recurrent loops spend
-most of their time in that bookkeeping. The composite cell it must agree
-with is kept in the test suite (`tests/conftest.py`) as the oracle.
+Most primitives are single operations. The model's layers are the
+exception: `gru`, `biscale` (the bi-scale decoder step), `attention` and
+`output_layer` are each one node, possibly with several outputs, and a
+hand-written backward, because the same layers built from single
+operations record ten to twenty nodes each and the recurrent loops spend
+most of their time in that bookkeeping. The composite layers they must
+agree with are kept in the test suite (`tests/conftest.py`) as oracles.
 
 Two precision modes exist: "wide" (float64, for gradient checks) and "narrow"
 (float32, default for training). A graph is pinned to its store's mode;
@@ -27,7 +29,6 @@ from .errors import (
     ConfigError,
     ContractError,
     DimensionError,
-    DomainError,
 )
 
 PRECISIONS = {"wide": np.float64, "narrow": np.float32}
@@ -146,16 +147,21 @@ class Graph:
         return False
 
 
-def _record(op, inputs, out_data, grad_fn) -> Tensor:
-    out = Tensor(out_data)
+def _record(op, inputs, out_data, grad_fn):
+    """Wrap `out_data` (an array, or a tuple of arrays for a node with several
+    outputs, whose `grad_fn` then gets one gradient or None per output) and
+    append the node to the active graph."""
+    many = isinstance(out_data, tuple)
+    out = tuple(Tensor(d) for d in out_data) if many else Tensor(out_data)
     g = _active()
     if g is not None:
-        if out_data.dtype != g.dtype:
-            raise ContractError(
-                f"{op!r} produced dtype {out_data.dtype} inside a {g.store.precision} graph"
-            )
+        for t in out if many else (out,):
+            if t.data.dtype != g.dtype:
+                raise ContractError(
+                    f"{op!r} produced dtype {t.data.dtype} inside a {g.store.precision} graph"
+                )
+            g._produced.add(id(t))
         g.nodes.append(_Node(op, inputs, out, grad_fn))
-        g._produced.add(id(out))
     return out
 
 
@@ -214,39 +220,11 @@ def _sigmoid(d):
     return 0.5 * np.tanh(0.5 * d) + 0.5
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid(x.data)
-    return _record("sigmoid", (x,), y, lambda dy: (dy * y * (1.0 - y),))
-
-
 def _broadcast_shapes(op, a, b):
     try:
         return np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not match") from None
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shapes("add", a, b)
-    y = a.data + b.data
-    return _record(
-        "add", (a, b), y,
-        lambda dy: (_unbroadcast(dy, a.shape), _unbroadcast(dy, b.shape)),
-    )
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shapes("multiply", a, b)
-    y = a.data * b.data
-    return _record(
-        "multiply", (a, b), y,
-        lambda dy: (_unbroadcast(dy * b.data, a.shape), _unbroadcast(dy * a.data, b.shape)),
-    )
-
-
-def one_minus(x: Tensor) -> Tensor:
-    """1 - x, the (1 - g) form used by gates."""
-    return _record("subtract_from_one", (x,), 1.0 - x.data, lambda dy: (-dy,))
 
 
 def mul_const(x: Tensor, const: np.ndarray) -> Tensor:
@@ -260,44 +238,6 @@ def mul_const(x: Tensor, const: np.ndarray) -> Tensor:
 def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
     return _record("scale", (x,), x.data * s, lambda dy: (dy * s,))
-
-
-def softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Probabilities along the last axis, max-subtracted for stability.
-
-    `mask` (same shape, nonzero = valid) zeroes out invalid positions; each
-    row must keep at least one valid entry.
-    """
-    x = logits.data
-    if x.size == 0:
-        raise DomainError("softmax of an empty tensor")
-    if mask is not None:
-        valid = np.asarray(mask, dtype=bool)
-        shifted = x - np.max(np.where(valid, x, -np.inf), axis=-1, keepdims=True)
-        e = np.exp(shifted) * valid
-    else:
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def grad(dy):
-        inner = (dy * y).sum(axis=-1, keepdims=True)
-        return (y * (dy - inner),)
-
-    return _record("softmax", (logits,), y, grad)
-
-
-def log_softmax(logits: Tensor) -> Tensor:
-    x = logits.data
-    if x.size == 0:
-        raise DomainError("log_softmax of an empty tensor")
-    m = x.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
-    y = x - lse
-
-    def grad(dy):
-        return (dy - np.exp(y) * dy.sum(axis=-1, keepdims=True),)
-
-    return _record("log_softmax", (logits,), y, grad)
 
 
 def embed(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -317,19 +257,19 @@ def embed(table: Tensor, ids: np.ndarray) -> Tensor:
     return _record("embed", (table,), y, grad)
 
 
+def _split(dy, parts):
+    """The gradients of `parts` from the gradient of their concatenation."""
+    out, off = [], 0
+    for p in parts:
+        out.append(dy[..., off:off + p.shape[-1]])
+        off += p.shape[-1]
+    return out
+
+
 def concat(parts: list[Tensor]) -> Tensor:
     """Concatenate along the last axis."""
-    widths = [p.shape[-1] for p in parts]
     y = np.concatenate([p.data for p in parts], axis=-1)
-
-    def grad(dy):
-        out, off = [], 0
-        for w in widths:
-            out.append(dy[..., off:off + w])
-            off += w
-        return tuple(out)
-
-    return _record("concat", tuple(parts), y, grad)
+    return _record("concat", tuple(parts), y, lambda dy: tuple(_split(dy, parts)))
 
 
 def stack_time(rows: list[Tensor]) -> Tensor:
@@ -342,50 +282,22 @@ def stack_time(rows: list[Tensor]) -> Tensor:
     return _record("stack_time", tuple(rows), y, grad)
 
 
-def attn_mix(alpha: Tensor, ctx: Tensor) -> Tensor:
-    """Weighted sum of context rows: (B,T) x (B,T,D) -> (B,D)."""
-    if alpha.shape != ctx.shape[:2]:
-        raise DimensionError(f"attn_mix: weights {alpha.shape} vs context {ctx.shape}")
-    y = np.einsum("bt,btd->bd", alpha.data, ctx.data)
-
-    def grad(dy):
-        dalpha = np.einsum("bd,btd->bt", dy, ctx.data)
-        dctx = alpha.data[:, :, None] * dy[:, None, :]
-        return dalpha, dctx
-
-    return _record("attn_mix", (alpha, ctx), y, grad)
-
-
-def pick(x: Tensor, ids: np.ndarray) -> Tensor:
-    """Per-row element selection: (B, V), (B,) -> (B,)."""
-    ids = np.asarray(ids)
-    if x.ndim != 2 or ids.shape != (x.shape[0],):
-        raise DimensionError(f"pick: x {x.shape} vs ids {ids.shape}")
-    rows = np.arange(x.shape[0])
-    y = x.data[rows, ids]
-
-    def grad(dy):
-        dx = np.zeros_like(x.data)
-        dx[rows, ids] = dy
-        return (dx,)
-
-    return _record("pick", (x,), y, grad)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    y = x.data.reshape(shape)
-    return _record("reshape", (x,), y, lambda dy: (dy.reshape(x.shape),))
-
-
 def sum_all(x: Tensor) -> Tensor:
     y = x.data.sum()
     return _record("sum", (x,), np.asarray(y, dtype=x.data.dtype),
                    lambda dy: (np.broadcast_to(dy, x.shape).astype(x.data.dtype),))
 
 
+def _conform(op, what, *pairs):
+    """Raise DimensionError unless every (tensor, shape) pair matches."""
+    for t, shape in pairs:
+        if t.shape != shape:
+            raise DimensionError(f"{op}: weight {t.shape} does not conform with {what}")
+
+
 def gru(x: Tensor, h: Tensor, W_r: Tensor, W_u: Tensor, W_c: Tensor,
         U_r: Tensor, U_u: Tensor, U_c: Tensor,
-        b_r: Tensor, b_u: Tensor, b_c: Tensor) -> Tensor:
+        b_r: Tensor, b_u: Tensor, b_c: Tensor, mask=None) -> Tensor:
     """One GRU update (Cho et al. 2014) recorded as a single tape node.
 
         r = sigmoid(x W_r + h U_r + b_r)        (reset gate)
@@ -394,33 +306,38 @@ def gru(x: Tensor, h: Tensor, W_r: Tensor, W_u: Tensor, W_c: Tensor,
         out = (1 - u) * h + u * cand
 
     x is (B, n) and h is (B, d); W_* are (n, d), U_* (d, d), b_* (d,). A
-    closed update gate (u == 0) returns h bit-for-bit.
+    closed update gate (u == 0) returns h bit-for-bit. `mask` (B, 1), zero
+    at rows that must not move (padding), makes those rows return h
+    bit-for-bit and pass their gradient straight to h.
     """
     xd, hd = x.data, h.data
     if xd.ndim != 2 or hd.ndim != 2 or len(xd) != len(hd):
         raise DimensionError(f"gru: input {x.shape} and state {h.shape} are not (B, n) and (B, d)")
     n, d = xd.shape[1], hd.shape[1]
-    for t, shape in ((W_r, (n, d)), (W_u, (n, d)), (W_c, (n, d)),
-                     (U_r, (d, d)), (U_u, (d, d)), (U_c, (d, d)),
-                     (b_r, (d,)), (b_u, (d,)), (b_c, (d,))):
-        if t.shape != shape:
-            raise DimensionError(
-                f"gru: weight {t.shape} does not conform with input {x.shape} and state {h.shape}"
-            )
+    _conform("gru", f"input {x.shape} and state {h.shape}",
+             (W_r, (n, d)), (W_u, (n, d)), (W_c, (n, d)),
+             (U_r, (d, d)), (U_u, (d, d)), (U_c, (d, d)),
+             (b_r, (d,)), (b_u, (d,)), (b_c, (d,)))
     r = _sigmoid(xd @ W_r.data + (hd @ U_r.data + b_r.data))
     u = _sigmoid(xd @ W_u.data + (hd @ U_u.data + b_u.data))
     rh = r * hd
     cand = np.tanh(xd @ W_c.data + (rh @ U_c.data + b_c.data))
     keep = 1.0 - u
     y = keep * hd + u * cand
+    if mask is not None:
+        live = np.asarray(mask) != 0
+        y = np.where(live, y, hd)
 
     def grad(dy):
+        dpass = 0.0
+        if mask is not None:
+            dy, dpass = np.where(live, dy, 0.0), np.where(live, 0.0, dy)
         da_c = dy * u * (1.0 - cand * cand)
         da_u = dy * (cand - hd) * u * keep
         drh = da_c @ U_c.data.T
         da_r = drh * hd * r * (1.0 - r)
         dx = da_r @ W_r.data.T + da_u @ W_u.data.T + da_c @ W_c.data.T
-        dh = dy * keep + drh * r + da_r @ U_r.data.T + da_u @ U_u.data.T
+        dh = dy * keep + drh * r + da_r @ U_r.data.T + da_u @ U_u.data.T + dpass
         xT, hT = xd.T, hd.T
         return (dx, dh,
                 xT @ da_r, xT @ da_u, xT @ da_c,
@@ -428,6 +345,145 @@ def gru(x: Tensor, h: Tensor, W_r: Tensor, W_u: Tensor, W_c: Tensor,
                 da_r.sum(axis=0), da_u.sum(axis=0), da_c.sum(axis=0))
 
     return _record("gru", (x, h, W_r, W_u, W_c, U_r, U_u, U_c, b_r, b_u, b_c), y, grad)
+
+
+def biscale(y_emb: Tensor, h1_carried: Tensor, h2_feedback: Tensor, h2: Tensor,
+            h2_carried: Tensor, c: Tensor, W_h1: Tensor, b_h1: Tensor, W_g1: Tensor,
+            b_g1: Tensor, W_h2: Tensor, b_h2: Tensor, W_g2: Tensor, b_g2: Tensor):
+    """One step of the bi-scale decoder recorded as a single tape node.
+
+        ins1 = [y_emb; h1_carried; h2_feedback; c]
+        h1 = tanh(ins1 W_h1 + b_h1)             g1 = sigmoid(ins1 W_g1 + b_g1)
+        ins2 = [g1 * h1; h2_carried; c]
+        cand = tanh(ins2 W_h2 + b_h2)           g2 = sigmoid(ins2 W_g2 + b_g2)
+        h2' = (1 - g1) * h2 + g1 * cand
+
+    Every input is (B, width), every state (B, d). Returns the tuple (h1,
+    h2', g1, g2, cand, (1 - g1) * h1, g1 * h2', (1 - g2) * h2'). A closed
+    gate g1 == 0 returns h2 bit-for-bit.
+    """
+    ins1 = np.concatenate([y_emb.data, h1_carried.data, h2_feedback.data, c.data], axis=1)
+    d, n1, n2 = h2.shape[1], ins1.shape[1], 2 * h2.shape[1] + c.shape[1]
+    _conform("biscale", f"inputs of widths {n1} and {n2} and state width {d}",
+             (W_h1, (n1, d)), (W_g1, (n1, d)), (W_h2, (n2, d)), (W_g2, (n2, d)),
+             (b_h1, (d,)), (b_g1, (d,)), (b_h2, (d,)), (b_g2, (d,)))
+    h1 = np.tanh(ins1 @ W_h1.data + b_h1.data)
+    g1 = _sigmoid(ins1 @ W_g1.data + b_g1.data)
+    ins2 = np.concatenate([g1 * h1, h2_carried.data, c.data], axis=1)
+    cand = np.tanh(ins2 @ W_h2.data + b_h2.data)
+    g2 = _sigmoid(ins2 @ W_g2.data + b_g2.data)
+    keep1, keep2 = 1.0 - g1, 1.0 - g2
+    h2_new = keep1 * h2.data + g1 * cand
+
+    def grad(dys):
+        dh1, dh2, dg1, dg2, dcand, dh1c, dh2f, dh2c = (0.0 if g is None else g for g in dys)
+        dh2 = dh2 + dh2c * keep2 + dh2f * g1
+        dg1 = dg1 + dh2f * h2_new - dh1c * h1 + dh2 * (cand - h2.data)
+        da_g2 = (dg2 - dh2c * h2_new) * g2 * keep2
+        da_c = (dcand + dh2 * g1) * (1.0 - cand * cand)
+        dreset, dh2c_in, dc2 = _split(da_c @ W_h2.data.T + da_g2 @ W_g2.data.T,
+                                      (h2, h2_carried, c))
+        da_g1 = (dg1 + dreset * h1) * g1 * keep1
+        da_h1 = (dh1 + dh1c * keep1 + dreset * g1) * (1.0 - h1 * h1)
+        dy_emb, dh1c_in, dh2f_in, dc1 = _split(da_h1 @ W_h1.data.T + da_g1 @ W_g1.data.T,
+                                               (y_emb, h1_carried, h2_feedback, c))
+        i1T, i2T = ins1.T, ins2.T
+        return (dy_emb, dh1c_in, dh2f_in, dh2 * keep1, dh2c_in, dc1 + dc2,
+                i1T @ da_h1, da_h1.sum(axis=0), i1T @ da_g1, da_g1.sum(axis=0),
+                i2T @ da_c, da_c.sum(axis=0), i2T @ da_g2, da_g2.sum(axis=0))
+
+    return _record("biscale", (y_emb, h1_carried, h2_feedback, h2, h2_carried, c,
+                               W_h1, b_h1, W_g1, b_g1, W_h2, b_h2, W_g2, b_g2),
+                   (h1, h2_new, g1, g2, cand, keep1 * h1, g1 * h2_new, keep2 * h2_new), grad)
+
+
+def attention(y_emb: Tensor, query: Tensor, keys: Tensor, annotations: Tensor, mask,
+              W_emb: Tensor, W_query: Tensor, b: Tensor, v: Tensor):
+    """Soft alignment (Bahdanau, Cho & Bengio 2014) as a single tape node.
+
+        e = tanh(keys + y_emb W_emb + query W_query + b) v        (B, T)
+        alpha = softmax of e over the positions where mask is nonzero
+        context = sum over t of alpha_t * annotations_t            (B, D)
+
+    keys (B, T, A) are the annotations (B, T, D) projected once per source
+    batch. Each row of `mask` (B, T) needs a nonzero entry. Returns the
+    tuple (context, alpha).
+    """
+    ann, hid = annotations.data, keys.data
+    B, T, A = hid.shape
+    if ann.shape[:2] != (B, T) or np.shape(mask) != (B, T):
+        raise DimensionError(f"attention: keys {keys.shape}, annotations {annotations.shape} "
+                             f"and mask {np.shape(mask)} do not match")
+    _conform("attention", f"keys {keys.shape}",
+             (W_emb, (y_emb.shape[1], A)), (W_query, (query.shape[1], A)), (b, (A,)), (v, (A, 1)))
+    step = y_emb.data @ W_emb.data + b.data + query.data @ W_query.data
+    hidden = np.tanh(hid + step[:, None, :])
+    scores = (hidden.reshape(-1, A) @ v.data).reshape(B, T)
+    scores = np.where(np.asarray(mask) != 0, scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha = e / e.sum(axis=1, keepdims=True)
+    context = np.matmul(alpha[:, None, :], ann)[:, 0]
+
+    def grad(dys):
+        dctx, dalpha = dys
+        dann = None
+        if dctx is not None:
+            dann = alpha[:, :, None] * dctx[:, None, :]
+            dmix = np.matmul(ann, dctx[:, :, None])[:, :, 0]
+            dalpha = dmix if dalpha is None else dalpha + dmix
+        dscore = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
+        dkeys = dscore[:, :, None] * v.data[:, 0] * (1.0 - hidden * hidden)
+        dstep = dkeys.sum(axis=1)
+        return (dstep @ W_emb.data.T, dstep @ W_query.data.T, dkeys, dann,
+                y_emb.data.T @ dstep, query.data.T @ dstep, dstep.sum(axis=0),
+                hidden.reshape(-1, A).T @ dscore.reshape(-1, 1))
+
+    return _record("attention", (y_emb, query, keys, annotations, W_emb, W_query, b, v),
+                   (context, alpha), grad)
+
+
+def output_layer(parts: list[Tensor], W_h: Tensor, b_h: Tensor, W_l: Tensor, b_l: Tensor,
+                 targets=None) -> Tensor:
+    """The output network as a single tape node:
+
+        log_softmax(tanh([parts] W_h + b_h) W_l + b_l)
+
+    over the last axis, for parts of shape (..., n_i). With integer
+    `targets` of the leading shape (...), returns only the log-probability
+    of each target symbol, so a whole teacher-forced batch is one node.
+    """
+    x = np.concatenate([p.data for p in parts], axis=-1)
+    lead, N, V = x.shape[:-1], x.shape[-1], W_l.shape[-1]
+    _conform("output_layer", f"inputs of width {N}",
+             (W_h, (N, b_h.shape[0])), (W_l, (b_h.shape[0], V)), (b_l, (V,)))
+    x = x.reshape(-1, N)
+    hidden = np.tanh(x @ W_h.data + b_h.data)
+    logits = hidden @ W_l.data + b_l.data
+    m = logits.max(axis=1, keepdims=True)
+    logp = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
+    if targets is None:
+        y = logp.reshape(*lead, V)
+    else:
+        ids = np.asarray(targets)
+        if ids.shape != lead or (ids.size and (ids.min() < 0 or ids.max() >= V)):
+            raise DimensionError(f"output_layer: targets {ids.shape} are not {lead} ids < {V}")
+        rows, ids = np.arange(ids.size), ids.reshape(-1)
+        y = logp[rows, ids].reshape(lead)
+
+    def grad(dy):
+        if targets is None:
+            dy = dy.reshape(-1, V)
+            dlogits = dy - np.exp(logp) * dy.sum(axis=1, keepdims=True)
+        else:
+            dy = dy.reshape(-1, 1)
+            dlogits = np.exp(logp) * -dy
+            dlogits[rows, ids] += dy[:, 0]
+        da = (dlogits @ W_l.data.T) * (1.0 - hidden * hidden)
+        dx = (da @ W_h.data.T).reshape(*lead, N)
+        return (*_split(dx, parts), x.T @ da, da.sum(axis=0),
+                hidden.T @ dlogits, dlogits.sum(axis=0))
+
+    return _record("output_layer", (*parts, W_h, b_h, W_l, b_l), y, grad)
 
 
 def backward(graph: Graph, loss: Tensor) -> dict[str, Tensor]:
@@ -442,9 +498,14 @@ def backward(graph: Graph, loss: Tensor) -> dict[str, Tensor]:
 
     acc: dict[int, np.ndarray] = {id(loss): np.asarray(1.0, dtype=graph.dtype)}
     for node in reversed(graph.nodes):
-        dy = acc.pop(id(node.output), None)
-        if dy is None:
-            continue
+        if isinstance(node.output, tuple):
+            dy = tuple(acc.pop(id(t), None) for t in node.output)
+            if all(d is None for d in dy):
+                continue
+        else:
+            dy = acc.pop(id(node.output), None)
+            if dy is None:
+                continue
         for t, g in zip(node.inputs, node.grad_fn(dy)):
             if g is None:
                 continue

@@ -1,13 +1,19 @@
-"""Shared helpers for building small models and corpora in tests."""
+"""Shared helpers for building small models and corpora in tests, and the
+oracles the fast paths are checked against: the model's layers built from
+single-operation tape primitives, and the per-sentence beam search."""
 
 import dataclasses
 
 import numpy as np
 
+import charnmt.model as model_mod
 from charnmt.decode import Hypothesis, _check_ensemble, ensemble_log_probs
-from charnmt.errors import ConfigError
-from charnmt.model import ContextSet, Model, ModelConfig, init_params
-from charnmt.numerics import Tensor, add, affine, linear, mul, one_minus, sigmoid, tanh
+from charnmt.errors import ConfigError, DimensionError, DomainError
+from charnmt.model import AttentionOutput, BiScaleState, ContextSet, Model, ModelConfig, init_params
+from charnmt.numerics import (
+    Tensor, _broadcast_shapes, _record, _sigmoid, _unbroadcast, affine, concat, linear,
+    mul_const, tanh,
+)
 from charnmt.textpipe import BOS_ID, EOS_ID
 
 COPY_WORDS = ("abc", "bca", "cab", "acb", "bac", "cba", "aab", "bcc", "caa", "abb")
@@ -47,11 +53,120 @@ def copy_task_corpus(n_pairs: int = 400, seed: int = 5,
     return [(line, line) for line in lines]
 
 
-def composite_gru_cell(store, prefix, x, h_prev):
+# --- single-operation primitives: the composite layers below are built from
+# them, one tape node per operation ---
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _broadcast_shapes("add", a, b)
+    y = a.data + b.data
+    return _record(
+        "add", (a, b), y,
+        lambda dy: (_unbroadcast(dy, a.shape), _unbroadcast(dy, b.shape)),
+    )
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    _broadcast_shapes("multiply", a, b)
+    y = a.data * b.data
+    return _record(
+        "multiply", (a, b), y,
+        lambda dy: (_unbroadcast(dy * b.data, a.shape), _unbroadcast(dy * a.data, b.shape)),
+    )
+
+
+def one_minus(x: Tensor) -> Tensor:
+    """1 - x, the (1 - g) form used by gates."""
+    return _record("subtract_from_one", (x,), 1.0 - x.data, lambda dy: (-dy,))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    y = _sigmoid(x.data)
+    return _record("sigmoid", (x,), y, lambda dy: (dy * y * (1.0 - y),))
+
+
+def softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Probabilities along the last axis, max-subtracted for stability.
+
+    `mask` (same shape, nonzero = valid) zeroes out invalid positions; each
+    row must keep at least one valid entry.
+    """
+    x = logits.data
+    if x.size == 0:
+        raise DomainError("softmax of an empty tensor")
+    if mask is not None:
+        valid = np.asarray(mask, dtype=bool)
+        shifted = x - np.max(np.where(valid, x, -np.inf), axis=-1, keepdims=True)
+        e = np.exp(shifted) * valid
+    else:
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def grad(dy):
+        inner = (dy * y).sum(axis=-1, keepdims=True)
+        return (y * (dy - inner),)
+
+    return _record("softmax", (logits,), y, grad)
+
+
+def log_softmax(logits: Tensor) -> Tensor:
+    x = logits.data
+    if x.size == 0:
+        raise DomainError("log_softmax of an empty tensor")
+    m = x.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
+    y = x - lse
+
+    def grad(dy):
+        return (dy - np.exp(y) * dy.sum(axis=-1, keepdims=True),)
+
+    return _record("log_softmax", (logits,), y, grad)
+
+
+def attn_mix(alpha: Tensor, ctx: Tensor) -> Tensor:
+    """Weighted sum of context rows: (B,T) x (B,T,D) -> (B,D)."""
+    if alpha.shape != ctx.shape[:2]:
+        raise DimensionError(f"attn_mix: weights {alpha.shape} vs context {ctx.shape}")
+    y = np.einsum("bt,btd->bd", alpha.data, ctx.data)
+
+    def grad(dy):
+        dalpha = np.einsum("bd,btd->bt", dy, ctx.data)
+        dctx = alpha.data[:, :, None] * dy[:, None, :]
+        return dalpha, dctx
+
+    return _record("attn_mix", (alpha, ctx), y, grad)
+
+
+def pick(x: Tensor, ids: np.ndarray) -> Tensor:
+    """Per-row element selection: (B, V), (B,) -> (B,)."""
+    ids = np.asarray(ids)
+    if x.ndim != 2 or ids.shape != (x.shape[0],):
+        raise DimensionError(f"pick: x {x.shape} vs ids {ids.shape}")
+    rows = np.arange(x.shape[0])
+    y = x.data[rows, ids]
+
+    def grad(dy):
+        dx = np.zeros_like(x.data)
+        dx[rows, ids] = dy
+        return (dx,)
+
+    return _record("pick", (x,), y, grad)
+
+
+def reshape(x: Tensor, shape) -> Tensor:
+    y = x.data.reshape(shape)
+    return _record("reshape", (x,), y, lambda dy: (dy.reshape(x.shape),))
+
+
+# --- composite layers: the oracles of the fused primitives ---
+
+
+def composite_gru_cell(store, prefix, x, h_prev, mask=None):
     """The GRU cell built from tape primitives, one node per operation.
 
     Same signature as `charnmt.model.gru_cell`; the oracle that the fused
     `numerics.gru` primitive and its hand-written backward must agree with.
+    Rows where `mask` is 0 keep h_prev through the blend the encoder used.
     """
     r = sigmoid(add(linear(x, store[f"{prefix}.W_reset"]),
                     affine(h_prev, store[f"{prefix}.U_reset"], store[f"{prefix}.b_reset"])))
@@ -59,7 +174,61 @@ def composite_gru_cell(store, prefix, x, h_prev):
                     affine(h_prev, store[f"{prefix}.U_update"], store[f"{prefix}.b_update"])))
     cand = tanh(add(linear(x, store[f"{prefix}.W_cand"]),
                     affine(mul(r, h_prev), store[f"{prefix}.U_cand"], store[f"{prefix}.b_cand"])))
-    return add(mul(one_minus(u), h_prev), mul(u, cand))
+    h = add(mul(one_minus(u), h_prev), mul(u, cand))
+    if mask is None:
+        return h
+    return add(mul_const(h, mask), mul_const(h_prev, 1.0 - np.asarray(mask)))
+
+
+def composite_attend(store, y_emb, query, ctx):
+    """`charnmt.model.attend` from single operations: the oracle of
+    `numerics.attention`."""
+    step_part = add(affine(y_emb, store["att.W_emb"], store["att.b"]),
+                    linear(query, store["att.W_query"]))
+    B = step_part.shape[0]
+    hidden = tanh(add(ctx.keys, reshape(step_part, (B, 1, step_part.shape[-1]))))
+    scores = reshape(linear(hidden, store["att.v"]), (B, ctx.max_len))
+    alpha = softmax(scores, mask=ctx.mask)
+    return AttentionOutput(context=attn_mix(alpha, ctx.annotations), alpha=alpha)
+
+
+def composite_biscale_step(store, y_emb, state, c):
+    """The bi-scale decoder step from single operations: the oracle of
+    `numerics.biscale`."""
+    ins1 = concat([y_emb, state.h1_carried, state.h2_feedback, c])
+    h1 = tanh(affine(ins1, store["bi.W_h1"], store["bi.b_h1"]))
+    g1 = sigmoid(affine(ins1, store["bi.W_g1"], store["bi.b_g1"]))
+    ins2 = concat([mul(g1, h1), state.h2_carried, c])
+    cand = tanh(affine(ins2, store["bi.W_h2"], store["bi.b_h2"]))
+    h2 = add(mul(one_minus(g1), state.h2), mul(g1, cand))
+    g2 = sigmoid(affine(ins2, store["bi.W_g2"], store["bi.b_g2"]))
+    return BiScaleState(
+        h1=h1, h2=h2, g1=g1, g2=g2, cand=cand,
+        h1_carried=mul(one_minus(g1), h1),
+        h2_feedback=mul(g1, h2),
+        h2_carried=mul(one_minus(g2), h2),
+    )
+
+
+def composite_output_log_probs(store, parts, targets=None):
+    """The output layer from single operations (with `targets`: picked
+    position by position): the oracle of `numerics.output_layer`."""
+    hidden = tanh(affine(concat(parts), store["out.W_hidden"], store["out.b_hidden"]))
+    logp = log_softmax(affine(hidden, store["out.W_logit"], store["out.b_logit"]))
+    if targets is None:
+        return logp
+    targets = np.asarray(targets)
+    flat = reshape(logp, (targets.size, logp.shape[-1]))
+    return reshape(pick(flat, targets.reshape(-1)), targets.shape)
+
+
+def use_composite_layers(monkeypatch):
+    """Make `charnmt.model` run every fused layer through its oracle."""
+    monkeypatch.setattr(model_mod, "gru_cell", composite_gru_cell)
+    monkeypatch.setattr(model_mod, "attend", composite_attend)
+    monkeypatch.setattr(model_mod, "_output_log_probs", composite_output_log_probs)
+    monkeypatch.setattr(model_mod._BiScaleDecoder, "step",
+                        lambda self, *args: composite_biscale_step(*args))
 
 
 def assert_arrays_close(got, want, atol=1e-10):

@@ -1,5 +1,9 @@
 """Checkpoint container tests: round trips, integrity verification."""
 
+import os
+import shutil
+import uuid
+
 import numpy as np
 import pytest
 
@@ -70,6 +74,44 @@ class TestRoundTrip:
         assert calls[0][0] == out and calls[1][1] == out
         assert load_checkpoint(out).state["step"] == 12
         assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @staticmethod
+    def _kill_between_renames(out):
+        """Leave `out` as a kill after `_swap_in`'s first rename does: the
+        previous checkpoint aside, the new one still under its temporary
+        name."""
+        hexname = uuid.uuid4().hex
+        aside = out.with_name(f".{out.name}.{hexname}.old")
+        os.replace(out, aside)
+        out.with_name(f".{out.name}.{hexname}.tmp").mkdir()
+        return aside
+
+    def test_load_recovers_checkpoint_left_aside(self, tmp_path):
+        config, state, tensors, files = _sample(tmp_path)
+        out = tmp_path / "ckpt"
+        save_checkpoint(out, config, state, tensors, files)
+        aside = self._kill_between_renames(out)
+        assert load_checkpoint(out).state == state
+        assert out.is_dir() and not aside.exists()
+
+    def test_save_recovers_checkpoint_left_aside(self, tmp_path):
+        config, state, tensors, files = _sample(tmp_path)
+        out = tmp_path / "ckpt"
+        save_checkpoint(out, config, state, tensors, files)
+        self._kill_between_renames(out)
+        save_checkpoint(out, config, dict(state, step=13), tensors, files)
+        assert load_checkpoint(out).state["step"] == 13
+        assert not list(tmp_path.glob(".ckpt.*.old"))
+
+    def test_ambiguous_checkpoints_aside_are_not_recovered(self, tmp_path):
+        config, state, tensors, files = _sample(tmp_path)
+        out = tmp_path / "ckpt"
+        save_checkpoint(out, config, state, tensors, files)
+        aside = self._kill_between_renames(out)
+        shutil.copytree(aside, out.with_name(f".ckpt.{uuid.uuid4().hex}.old"))
+        with pytest.raises(IntegrityError, match="not a checkpoint"):
+            load_checkpoint(out)
+        assert len(list(tmp_path.glob(".ckpt.*.old"))) == 2
 
     def test_float_state_round_trip(self, tmp_path):
         config, state, tensors, files = _sample(tmp_path)

@@ -1,10 +1,16 @@
 """End-to-end command-line tests driven through main()."""
 
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import charnmt
 from charnmt.cli import main
 from charnmt.config import (
     RunConfig,
@@ -330,3 +336,36 @@ class TestAlignCommand:
                      "--src", str(a), "--tgt", str(b),
                      "--output", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Records the thread settings at the moment numpy is first imported.
+_SPY = """
+import json, os, sys
+seen = {}
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({k: os.environ.get(k) for k in %r})
+        return None
+
+sys.meta_path.insert(0, Spy())
+import charnmt.cli
+print(json.dumps(seen))
+""" % (BLAS_VARS,)
+
+
+@pytest.mark.parametrize("preset,expected", [
+    ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}),
+    ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2"},
+     {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}),
+])
+def test_cli_pins_one_blas_thread_unless_set(preset, expected):
+    src = Path(charnmt.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _SPY], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout) == expected

@@ -21,11 +21,11 @@ from charnmt.model import (
     sequence_log_prob,
 )
 from charnmt.numerics import (
-    Graph, ParameterStore, add, backward, embed, mul_const, scale, sum_all, tensor,
+    Graph, ParameterStore, backward, embed, mul_const, scale, sum_all, tensor,
 )
 from charnmt.textpipe import BOS_ID, EOS_ID
 
-from conftest import assert_arrays_close, composite_gru_cell
+from conftest import add, assert_arrays_close, composite_gru_cell
 from fdcheck import assert_grads_close, finite_difference_grads
 
 WIDE = dict(precision="wide")
@@ -50,7 +50,7 @@ def decoder_step(m, y_prev, state, c):
 def output_log_probs(m, y_prev, dec_out, c):
     """The output layer alone, fed previous symbols `y_prev`."""
     y_emb = embed(m.store["tgt_emb"], np.asarray(y_prev))
-    return model_mod._output_log_probs(m.store, y_emb, dec_out, c)
+    return model_mod._output_log_probs(m.store, [y_emb, dec_out, c])
 
 
 def zero_params(store):
@@ -105,6 +105,13 @@ class TestGruCell:
         store.assign("g.b_update", np.full(4, -1000.0))
         out = gru_cell(store, "g", tensor(x, "wide"), tensor(h, "wide"))
         assert np.array_equal(out.data, h)
+
+    def test_masked_rows_keep_state_bit_for_bit(self):
+        store, x, h = self._random_cell(3)
+        free = gru_cell(store, "g", tensor(x, "wide"), tensor(h, "wide"))
+        out = gru_cell(store, "g", tensor(x, "wide"), tensor(h, "wide"), np.array([[1.0], [0.0]]))
+        assert np.array_equal(out.data[0], free.data[0])
+        assert np.array_equal(out.data[1], h[1]) and not np.array_equal(free.data[1], h[1])
 
     def test_update_gate_forced_open_gives_candidate(self):
         store, x, h = self._random_cell(2)
@@ -441,6 +448,32 @@ class TestBatchingConsistency:
         for i, (s, t) in enumerate(pairs):
             _, per_pos, _ = sequence_log_prob(m, s, t)
             np.testing.assert_allclose(picked.data[i, : len(t)], per_pos, atol=1e-9)
+
+
+    @pytest.mark.parametrize("decoder", ["base", "biscale"])
+    @pytest.mark.parametrize("precision", ["wide", "narrow"])
+    def test_batched_output_layer_matches_per_step(self, decoder, precision):
+        """Training scores every position in one output-layer call; decoding
+        scores one position per call. Float32 may differ by summation order
+        only: a few ulps of the largest log-probability."""
+        cfg = tiny_config(decoder=decoder, precision=precision, d_emb=32, d_enc=48,
+                          d_dec=64, d_att=48, tgt_vocab_size=60)
+        m = Model(cfg, init_params(cfg, 31))
+        rng = np.random.default_rng(31)
+        src = rng.integers(4, 11, size=(7, 6))
+        src_len = rng.integers(1, 7, size=7)
+        tgt = rng.integers(4, 60, size=(7, 9))
+        tgt[:, 0] = BOS_ID
+        picked, alphas = forced_log_probs(m, src, src_len, tgt)
+        ctx = m.encode(src, src_len)
+        state, rows = m.initial_state(ctx), np.arange(7)
+        for t in range(8):
+            logp, state, alpha = m.step_log_probs(tgt[:, t], state, ctx)
+            ref = logp.data[rows, tgt[:, t + 1]]
+            eps = np.finfo(logp.data.dtype).eps
+            np.testing.assert_allclose(picked.data[:, t], ref, rtol=0,
+                                       atol=16 * eps * np.abs(ref).max())
+            assert np.array_equal(alpha.data, alphas[t].data)
 
 
 class TestGradients:

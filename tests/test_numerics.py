@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 from charnmt import numerics as nm
 from charnmt.errors import ContractError, DimensionError, DomainError
 
+from conftest import (
+    add, attn_mix, log_softmax, mul, one_minus, pick, reshape, sigmoid, softmax,
+)
 from fdcheck import assert_grads_close, finite_difference_grads
 
 
@@ -43,11 +46,11 @@ def test_affine_shape_mismatch_names_both_shapes():
 # --- pointwise ---
 
 def test_sigmoid_symmetry_point():
-    assert nm.sigmoid(wide(0.0)).data == 0.5
+    assert sigmoid(wide(0.0)).data == 0.5
 
 
 def test_sigmoid_saturates_without_overflow():
-    y = nm.sigmoid(wide([-1000.0, 1000.0])).data
+    y = sigmoid(wide([-1000.0, 1000.0])).data
     assert y[0] == 0.0 and y[1] == 1.0
 
 
@@ -56,49 +59,49 @@ def test_tanh_odd_function():
 
 
 def test_multiply_definition():
-    assert np.allclose(nm.mul(wide([1.0, 2.0]), wide([3.0, 4.0])).data, [3.0, 8.0])
+    assert np.allclose(mul(wide([1.0, 2.0]), wide([3.0, 4.0])).data, [3.0, 8.0])
 
 
 def test_pointwise_shape_mismatch():
     with pytest.raises(DimensionError):
-        nm.mul(wide([1.0, 2.0]), wide([1.0, 2.0, 3.0]))
+        mul(wide([1.0, 2.0]), wide([1.0, 2.0, 3.0]))
 
 
 def test_one_minus():
-    assert np.allclose(nm.one_minus(wide([0.25, 1.0])).data, [0.75, 0.0])
+    assert np.allclose(one_minus(wide([0.25, 1.0])).data, [0.75, 0.0])
 
 
 # --- softmax ---
 
 def test_softmax_symmetry():
-    assert np.allclose(nm.softmax(wide([0.0, 0.0, 0.0])).data, [1 / 3] * 3)
+    assert np.allclose(softmax(wide([0.0, 0.0, 0.0])).data, [1 / 3] * 3)
 
 
 def test_softmax_large_logits_no_overflow():
-    y = nm.softmax(wide([1000.0, 1000.0])).data
+    y = softmax(wide([1000.0, 1000.0])).data
     assert np.all(np.isfinite(y)) and np.allclose(y, [0.5, 0.5])
 
 
 def test_softmax_hand_computed():
-    y = nm.softmax(wide([np.log(1.0), np.log(3.0)])).data
+    y = softmax(wide([np.log(1.0), np.log(3.0)])).data
     assert np.allclose(y, [0.25, 0.75])
 
 
 def test_softmax_empty_input():
     with pytest.raises(DomainError):
-        nm.softmax(wide(np.zeros((0,))))
+        softmax(wide(np.zeros((0,))))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=7))
 def test_softmax_is_probability_vector(logits):
-    y = nm.softmax(wide(logits)).data
+    y = softmax(wide(logits)).data
     assert y.min() >= 0.0
     assert abs(y.sum() - 1.0) < 1e-6
 
 
 def test_masked_softmax_zeroes_invalid_positions():
-    y = nm.softmax(wide([[1.0, 2.0, 3.0]]), mask=np.array([[1, 1, 0]])).data
+    y = softmax(wide([[1.0, 2.0, 3.0]]), mask=np.array([[1, 1, 0]])).data
     assert y[0, 2] == 0.0
     assert abs(y[0, :2].sum() - 1.0) < 1e-12
 
@@ -119,7 +122,7 @@ def test_backward_quadratic():
     store.add("x", [1.0, 2.0])
     with nm.Graph(store) as g:
         x = store["x"]
-        loss = nm.sum_all(nm.mul(x, x))
+        loss = nm.sum_all(mul(x, x))
     grads = nm.backward(g, loss)
     assert np.allclose(grads["x"].data, [2.0, 4.0])
 
@@ -128,7 +131,7 @@ def test_backward_requires_scalar_loss():
     store = nm.ParameterStore("wide")
     store.add("x", [1.0, 2.0])
     with nm.Graph(store) as g:
-        y = nm.mul(store["x"], store["x"])
+        y = mul(store["x"], store["x"])
     with pytest.raises(ContractError):
         nm.backward(g, y)
 
@@ -176,19 +179,19 @@ def _primitive_cases():
     case("linear", {"x": _rand(rng, 3, 4), "W": _rand(rng, 4, 5)},
          lambda s: nm.linear(s["x"], s["W"]))
     case("tanh", {"x": _rand(rng, 4, 3)}, lambda s: nm.tanh(s["x"]))
-    case("sigmoid", {"x": _rand(rng, 4, 3)}, lambda s: nm.sigmoid(s["x"]))
+    case("sigmoid", {"x": _rand(rng, 4, 3)}, lambda s: sigmoid(s["x"]))
     case("mul", {"a": _rand(rng, 3, 4), "b": _rand(rng, 3, 4)},
-         lambda s: nm.mul(s["a"], s["b"]))
+         lambda s: mul(s["a"], s["b"]))
     case("mul_broadcast", {"a": _rand(rng, 2, 3, 4), "b": _rand(rng, 2, 1, 4)},
-         lambda s: nm.mul(s["a"], s["b"]))
+         lambda s: mul(s["a"], s["b"]))
     case("add_broadcast", {"a": _rand(rng, 2, 3, 4), "b": _rand(rng, 4)},
-         lambda s: nm.add(s["a"], s["b"]))
-    case("one_minus", {"x": _rand(rng, 5)}, lambda s: nm.one_minus(s["x"]))
+         lambda s: add(s["a"], s["b"]))
+    case("one_minus", {"x": _rand(rng, 5)}, lambda s: one_minus(s["x"]))
     case("scale", {"x": _rand(rng, 3, 2)}, lambda s: nm.scale(s["x"], 2.5))
-    case("softmax", {"x": _rand(rng, 3, 6)}, lambda s: nm.softmax(s["x"]))
+    case("softmax", {"x": _rand(rng, 3, 6)}, lambda s: softmax(s["x"]))
     mask = np.array([[1, 1, 0, 1], [1, 0, 1, 1]])
-    case("softmax_masked", {"x": _rand(rng, 2, 4)}, lambda s: nm.softmax(s["x"], mask=mask))
-    case("log_softmax", {"x": _rand(rng, 3, 6)}, lambda s: nm.log_softmax(s["x"]))
+    case("softmax_masked", {"x": _rand(rng, 2, 4)}, lambda s: softmax(s["x"], mask=mask))
+    case("log_softmax", {"x": _rand(rng, 3, 6)}, lambda s: log_softmax(s["x"]))
     ids = np.array([2, 0, 2, 1])
     case("embed", {"t": _rand(rng, 3, 4)}, lambda s: nm.embed(s["t"], ids))
     case("concat", {"a": _rand(rng, 3, 2), "b": _rand(rng, 3, 4)},
@@ -196,10 +199,10 @@ def _primitive_cases():
     case("stack_time", {"a": _rand(rng, 3, 2), "b": _rand(rng, 3, 2)},
          lambda s: nm.stack_time([s["a"], s["b"]]))
     case("attn_mix", {"alpha": _rand(rng, 2, 3), "ctx": _rand(rng, 2, 3, 4)},
-         lambda s: nm.attn_mix(s["alpha"], s["ctx"]))
+         lambda s: attn_mix(s["alpha"], s["ctx"]))
     pick_ids = np.array([1, 3, 0])
-    case("pick", {"x": _rand(rng, 3, 5)}, lambda s: nm.pick(s["x"], pick_ids))
-    case("reshape", {"x": _rand(rng, 2, 6)}, lambda s: nm.reshape(s["x"], (3, 4)))
+    case("pick", {"x": _rand(rng, 3, 5)}, lambda s: pick(s["x"], pick_ids))
+    case("reshape", {"x": _rand(rng, 2, 6)}, lambda s: reshape(s["x"], (3, 4)))
     case("mul_const", {"x": _rand(rng, 3, 4)},
          lambda s: nm.mul_const(s["x"], np.linspace(0.5, 2.0, 4)))
     gru_inputs = {"x": _rand(rng, 3, 4), "h": _rand(rng, 3, 5)}
@@ -207,6 +210,39 @@ def _primitive_cases():
         for gate in ("r", "u", "c"):
             gru_inputs[f"{kind}_{gate}"] = _rand(rng, *shape)
     case("gru", gru_inputs, lambda s: nm.gru(*(s[name] for name in gru_inputs)))
+    gru_mask = np.array([[1.0], [0.0], [1.0]])
+    case("gru_masked", gru_inputs,
+         lambda s: nm.gru(*(s[name] for name in gru_inputs), mask=gru_mask))
+
+    # bi-scale step: y_emb 3, context 4, states 5 wide, batch 2
+    bi_inputs = {"y": _rand(rng, 2, 3), "h1c": _rand(rng, 2, 5), "h2f": _rand(rng, 2, 5),
+                 "h2": _rand(rng, 2, 5), "h2c": _rand(rng, 2, 5), "c": _rand(rng, 2, 4)}
+    for name, d_in in (("h1", 17), ("g1", 17), ("h2", 14), ("g2", 14)):
+        bi_inputs[f"W_{name}"] = _rand(rng, d_in, 5)
+        bi_inputs[f"b_{name}"] = _rand(rng, 5)
+    bi = lambda s: nm.biscale(*(s[name] for name in bi_inputs))
+    case("biscale", bi_inputs, bi)
+    case("biscale_h2_carried_only", bi_inputs, lambda s: bi(s)[7])
+    case("biscale_gates_only", bi_inputs, lambda s: bi(s)[2:4])
+
+    # attention: batch 2, 4 source positions (one padded), D 3, A 5
+    att_mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]])
+    att_inputs = {"y": _rand(rng, 2, 3), "q": _rand(rng, 2, 6), "keys": _rand(rng, 2, 4, 5),
+                  "ann": _rand(rng, 2, 4, 3), "W_emb": _rand(rng, 3, 5),
+                  "W_query": _rand(rng, 6, 5), "b": _rand(rng, 5), "v": _rand(rng, 5, 1)}
+    att = lambda s: nm.attention(s["y"], s["q"], s["keys"], s["ann"], att_mask,
+                                 s["W_emb"], s["W_query"], s["b"], s["v"])
+    case("attention", att_inputs, att)
+    case("attention_alpha_only", att_inputs, lambda s: att(s)[1])
+    case("attention_context_only", att_inputs, lambda s: att(s)[0])
+
+    out_inputs = {"a": _rand(rng, 2, 3, 2), "b": _rand(rng, 2, 3, 3), "W_h": _rand(rng, 5, 4),
+                  "b_h": _rand(rng, 4), "W_l": _rand(rng, 4, 6), "b_l": _rand(rng, 6)}
+    out = lambda s, targets=None: nm.output_layer(
+        [s["a"], s["b"]], s["W_h"], s["b_h"], s["W_l"], s["b_l"], targets)
+    case("output_layer", out_inputs, out)
+    case("output_layer_targets", out_inputs,
+         lambda s: out(s, np.array([[0, 5, 2], [5, 5, 1]])))
     return cases
 
 
@@ -222,9 +258,14 @@ def test_primitive_gradient_matches_finite_differences(name):
         nonlocal probe
         with nm.Graph(store) as g:
             out = fn(store)
+            outs = out if isinstance(out, tuple) else (out,)
             if probe is None:
-                probe = np.random.default_rng(11).uniform(-1, 1, out.shape)
-            loss = nm.sum_all(nm.mul_const(out, probe))
+                rng = np.random.default_rng(11)
+                probe = [rng.uniform(-1, 1, o.shape) for o in outs]
+            terms = [nm.sum_all(nm.mul_const(o, p)) for o, p in zip(outs, probe)]
+            loss = terms[0]
+            for term in terms[1:]:
+                loss = add(loss, term)
         loss_fn.graph, loss_fn.loss = g, loss
         return float(loss.data)
 
@@ -247,9 +288,9 @@ def test_composite_graph_matches_finite_differences():
     def loss_fn():
         with nm.Graph(store) as g:
             h = nm.tanh(nm.affine(nm.tensor(x, "wide"), store["W1"], store["b1"]))
-            h = nm.mul(h, nm.sigmoid(h))
+            h = mul(h, sigmoid(h))
             logits = nm.affine(h, store["W2"], store["b2"])
-            loss = nm.scale(nm.sum_all(nm.pick(nm.log_softmax(logits), ids)), -1.0)
+            loss = nm.scale(nm.sum_all(pick(log_softmax(logits), ids)), -1.0)
         loss_fn.graph, loss_fn.loss = g, loss
         return float(loss.data)
 
@@ -267,7 +308,7 @@ def test_replay_determinism_bit_identical():
 
     def run():
         t = nm.Tensor(x.copy())
-        return nm.softmax(nm.tanh(nm.mul(t, t))).data
+        return softmax(nm.tanh(mul(t, t))).data
 
     assert np.array_equal(run(), run())
 

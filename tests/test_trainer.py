@@ -1,6 +1,8 @@
 """Trainer tests: loss masking, clipping, Adam, and the end-to-end loop."""
 
 import math
+import os
+import uuid
 from collections import Counter
 from pathlib import Path
 
@@ -42,7 +44,9 @@ from charnmt.trainer import (
     train,
 )
 
-from conftest import assert_arrays_close, composite_gru_cell, small_model
+from conftest import (
+    assert_arrays_close, composite_gru_cell, small_model, use_composite_layers,
+)
 
 
 def hand_batch(src_rows, tgt_rows) -> Batch:
@@ -118,14 +122,18 @@ class TestFusedGruStep:
         [[4, 5, 6, EOS_ID], [7, EOS_ID]],
         [[BOS_ID, 4, 5, EOS_ID], [BOS_ID, 6, EOS_ID]],
     )
+    RAGGED = hand_batch(
+        [[4, 5, 6, 7, EOS_ID], [7, EOS_ID], [8, 9, EOS_ID]],
+        [[BOS_ID, 4, 5, 6, 7, EOS_ID], [BOS_ID, 6, EOS_ID], [BOS_ID, 8, 4, EOS_ID]],
+    )
 
     def test_base_step_records_one_gru_node_per_cell(self, monkeypatch):
         m = small_model(3)
         real, prefixes = model_mod.gru_cell, []
 
-        def counted(store, prefix, x, h):
+        def counted(store, prefix, x, h, mask=None):
             prefixes.append(prefix)
-            return real(store, prefix, x, h)
+            return real(store, prefix, x, h, mask)
 
         monkeypatch.setattr(model_mod, "gru_cell", counted)
         with Graph(m.store) as graph:
@@ -135,6 +143,21 @@ class TestFusedGruStep:
         assert Counter(prefixes) == {"enc_fw": 4, "enc_bw": 4, "dec1": 3, "dec2": 3}
         assert ops["gru"] == len(prefixes)
         assert ops["sigmoid"] == 0
+
+    @pytest.mark.parametrize("decoder", ["base", "biscale"])
+    def test_step_records_one_node_per_layer(self, decoder):
+        m = small_model(3, decoder=decoder)
+        with Graph(m.store) as graph:
+            batch_nll(m, self.RAGGED)
+        ops = Counter(node.op for node in graph.nodes)
+        steps, positions = 5, 5  # target steps, source positions
+        cells = {"base": {"gru": 2 * positions + 2 * steps},
+                 "biscale": {"gru": 2 * positions, "biscale": steps}}[decoder]
+        assert {op: ops[op] for op in cells} == cells
+        assert ops["attention"] == steps and ops["output_layer"] == 1
+        for op in ("multiply", "sigmoid", "softmax", "log_softmax", "pick", "add", "reshape"):
+            assert ops[op] == 0, op
+        assert len(graph.nodes) <= 7 * steps + 3 * positions + 12
 
     def test_base_step_gradients_match_composite(self, monkeypatch):
         def step():
@@ -147,6 +170,24 @@ class TestFusedGruStep:
         monkeypatch.setattr(model_mod, "gru_cell", composite_gru_cell)
         ref_loss, ref_grads = step()
         assert abs(loss - ref_loss) < 1e-10
+        assert_arrays_close(grads, ref_grads)
+
+    @pytest.mark.parametrize("decoder", ["base", "biscale"])
+    @pytest.mark.parametrize("query", ["slower", "faster", "both"])
+    def test_batch_loss_and_gradients_match_composites(self, monkeypatch, decoder, query):
+        def step():
+            m = small_model(5, decoder=decoder, attention_query=query)
+            with Graph(m.store) as graph:
+                loss = batch_nll(m, self.RAGGED)
+            ops = Counter(node.op for node in graph.nodes)
+            return float(loss.data), {k: t.data for k, t in backward(graph, loss).items()}, ops
+
+        loss, grads, _ = step()
+        use_composite_layers(monkeypatch)
+        ref_loss, ref_grads, ref_ops = step()
+        assert ref_ops["pick"] == 1 and ref_ops["attention"] == ref_ops["gru"] == 0
+        assert abs(loss - ref_loss) < 1e-10
+        assert all(np.any(g != 0.0) for g in ref_grads.values())
         assert_arrays_close(grads, ref_grads)
 
 
@@ -380,6 +421,20 @@ class TestTrainLoop:
         assert len(run.out_dir.joinpath("train.log").read_text().splitlines()) == 3
         resumed = train(mc, tc, run, resume=run.out_dir / "latest")
         assert resumed.log_path.read_bytes() == full.log_path.read_bytes()
+
+    def test_resume_recovers_latest_left_aside_by_a_kill(self, corpus, tmp_path):
+        paths, n_src, n_tgt = corpus
+        mc, tc = tiny_configs(n_src, n_tgt, max_steps=4, validate_every=2)
+        full = train(mc, tc, TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "full"}))
+
+        run = TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "run"})
+        train(mc, tiny_configs(n_src, n_tgt, max_steps=2, validate_every=2)[1], run)
+        latest = run.out_dir / "latest"
+        # as a kill between the checkpoint swap's two renames leaves it
+        os.replace(latest, latest.with_name(f".latest.{uuid.uuid4().hex}.old"))
+        resumed = train(mc, tc, run, resume=latest)
+        assert resumed.log_path.read_bytes() == full.log_path.read_bytes()
+        assert not list(run.out_dir.glob(".latest.*"))
 
     def test_fresh_run_starts_its_log_empty(self, corpus, tmp_path):
         paths, n_src, n_tgt = corpus
