@@ -8,11 +8,13 @@ Layout:
 
 The manifest records a sha256 for the blob and every auxiliary file; loading
 verifies them. Writes go to a uniquely named sibling temporary directory
-first and are renamed into place, so a crash never leaves a half-written
-checkpoint under the final name. An existing checkpoint is renamed aside
-and deleted only once the new one is in place; if that rename fails, the
-old one is put back. If a kill lands between the two renames, the next
-load or save under the final name renames the old one back.
+first, fsynced, and are renamed into place, so a crash never leaves a
+half-written checkpoint under the final name. An existing checkpoint is
+renamed aside and deleted only once the new one is in place; if that rename
+fails, the old one is put back. If a kill lands between the two renames, the
+next load or save under the final name renames the old one back. A save
+deletes every sibling temporary or aside directory of its name once it is
+in place, so only one process at a time may save under a name.
 """
 
 from __future__ import annotations
@@ -81,14 +83,34 @@ def save_checkpoint(directory, config: dict, state: dict, tensors: dict, files: 
     tmp.mkdir()
     try:
         _write_contents(tmp, config, state, tensors, files)
+        for path in [*tmp.iterdir(), tmp]:
+            _fsync(path)
         _swap_in(tmp, directory)
     finally:
         if tmp.exists():
             shutil.rmtree(tmp, ignore_errors=True)
+    _fsync(directory.parent)
+    for debris in _siblings(directory, ".tmp") + _siblings(directory, ".old"):
+        shutil.rmtree(debris, ignore_errors=True)
     return directory
 
 
+def _fsync(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _siblings(directory: Path, suffix: str) -> list[Path]:
+    """The temporary (".tmp") or aside (".old") directories of saves to `directory`."""
+    return list(directory.parent.glob(
+        f".{glob.escape(directory.name)}.{'[0-9a-f]' * 32}{suffix}"))
+
+
 def _swap_in(tmp: Path, directory: Path) -> None:
+    """Rename `tmp` to `directory`, leaving any checkpoint there aside as ".old"."""
     if not directory.exists():
         os.replace(tmp, directory)
         return
@@ -99,7 +121,6 @@ def _swap_in(tmp: Path, directory: Path) -> None:
     except OSError:
         os.replace(old, directory)
         raise
-    shutil.rmtree(old)
 
 
 def _restore_aside(directory: Path) -> None:
@@ -107,8 +128,7 @@ def _restore_aside(directory: Path) -> None:
     `directory` itself is missing."""
     if directory.exists():
         return
-    aside = list(directory.parent.glob(
-        f".{glob.escape(directory.name)}.{'[0-9a-f]' * 32}.old"))
+    aside = _siblings(directory, ".old")
     if len(aside) == 1:
         os.replace(aside[0], directory)
 

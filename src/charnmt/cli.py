@@ -66,7 +66,10 @@ def cmd_train(args) -> int:
     cfg.apply_overrides(args.override)
     model_config, train_config, paths, resume = cfg.resolve()
     result = train(model_config, train_config, paths, resume=resume, echo=print)
-    print(f"trained {result.steps} steps; latest checkpoint at {result.latest_dir}")
+    padding = ("" if result.pad_share is None else
+               f"; PAD {100 * result.pad_share:.1f}% of the target positions trained on")
+    print(f"trained {result.steps} steps; latest checkpoint at {result.latest_dir}; "
+          f"{result.dropped_pairs} training pairs over the length limits dropped{padding}")
     if result.best_dir is not None:
         print(f"best dev NLL {result.best_dev_nll:.6f}; "
               f"best checkpoint at {result.best_dir}")

@@ -90,9 +90,8 @@ class RunConfig:
             p = getattr(paths, key)
             if not p.is_file():
                 raise ConfigError(f"{key}: no such file {p}")
+        # not checked here: loading it renames back a checkpoint a kill left aside
         resume = Path(self.values["resume"]) if "resume" in self.values else None
-        if resume is not None and not resume.is_dir():
-            raise ConfigError(f"resume: no such checkpoint directory {resume}")
 
         train_config = typed_config(TrainConfig, self.values)
         model_values = dict(self.values)

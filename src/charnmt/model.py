@@ -14,7 +14,7 @@ gradients; without one they compute forward values only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,11 +27,13 @@ from .numerics import (
     attention,
     biscale,
     concat,
+    concat_rows,
     embed,
     gru,
     linear,
     output_layer,
     stack_time,
+    take_rows,
     tanh,
     tensor,
 )
@@ -380,6 +382,38 @@ def forced_log_probs(model: Model, source, src_lengths, target):
         alphas.append(alpha)
     stacked = [stack_time(list(column)) for column in zip(*steps)]
     return _output_log_probs(model.store, stacked, target[:, 1:]), alphas
+
+
+def label_log_probs(model: Model, source, src_lengths, target, target_lengths):
+    """Teacher-forced log-probabilities of a batch's labels, without padding.
+
+    The picked entries of `forced_log_probs` under the label mask, up to
+    summation order, at the cost of the real labels only: rows run longest
+    target first (a stable order), so the rows whose target is still
+    running are a prefix, and when rows finish one `take_rows` node cuts
+    the state and the context set down to that prefix. The output layer
+    then scores the real labels alone. Returns a Tensor of shape (labels,):
+    position 0's labels of every row, then position 1's of the rows still
+    running, and so on.
+    """
+    order = np.argsort(-np.asarray(target_lengths), kind="stable")
+    target, lengths = np.asarray(target)[order], np.asarray(target_lengths)[order]
+    ctx = model.encode(np.asarray(source)[order], np.asarray(src_lengths)[order])
+    state = model.initial_state(ctx)
+    steps, labels = [], []
+    for t in range(target.shape[1] - 1):
+        live = int(np.count_nonzero(lengths > t + 1))
+        if live < len(ctx.lengths):
+            cut = take_rows([ctx.annotations, ctx.keys,
+                             *(getattr(state, f.name) for f in fields(state))], live)
+            ctx = ContextSet(cut[0], cut[1], ctx.mask[:live], ctx.lengths[:live],
+                             ctx.backward_head)
+            state = type(state)(*cut[2:])
+        parts, state, _ = model.advance(target[:live, t], state, ctx)
+        steps.append(parts)
+        labels.append(target[:live, t + 1])
+    stacked = [concat_rows(list(column)) for column in zip(*steps)]
+    return _output_log_probs(model.store, stacked, np.concatenate(labels))
 
 
 def sequence_log_prob(model: Model, source, target):

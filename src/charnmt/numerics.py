@@ -282,6 +282,28 @@ def stack_time(rows: list[Tensor]) -> Tensor:
     return _record("stack_time", tuple(rows), y, grad)
 
 
+def take_rows(xs: list[Tensor], n: int) -> tuple:
+    """The first `n` rows of each tensor, as one node with one output each."""
+    def grad(dys):
+        out = []
+        for x, dy in zip(xs, dys):
+            if dy is not None:
+                full = np.zeros_like(x.data)
+                full[:n] = dy
+                dy = full
+            out.append(dy)
+        return tuple(out)
+
+    return _record("take_rows", tuple(xs), tuple(x.data[:n] for x in xs), grad)
+
+
+def concat_rows(parts: list[Tensor]) -> Tensor:
+    """Concatenate along the first axis."""
+    y = np.concatenate([p.data for p in parts], axis=0)
+    ends = np.cumsum([p.shape[0] for p in parts])[:-1]
+    return _record("concat_rows", tuple(parts), y, lambda dy: tuple(np.split(dy, ends)))
+
+
 def sum_all(x: Tensor) -> Tensor:
     y = x.data.sum()
     return _record("sum", (x,), np.asarray(y, dtype=x.data.dtype),

@@ -6,13 +6,16 @@ clip -> bias-corrected Adam step. A non-finite loss or gradient norm stops
 the run before the step touches the parameters. Every validation interval
 the current parameters are scored on the dev set (mean NLL plus
 greedy-decode BLEU); the best-by-dev-NLL checkpoint is kept alongside the
-latest. Each epoch reshuffles with seed+epoch so an interrupted run can
-resume mid-epoch and see the identical batch sequence.
+latest. Epoch e trains on the length-bucketed batches `make_batches` cuts
+with seed + e, so a resumed run sees the identical batch sequence. A step's
+log line reaches the disk before any checkpoint of it, so a run killed at
+any instant and resumed in place leaves the log of an uninterrupted run.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -22,8 +25,8 @@ from .checkpoint import load_checkpoint, replace_into, save_checkpoint
 from .decode import SEARCH_CHUNK, default_max_len, greedy_decode, hypothesis_text
 from .errors import ConfigError, ConsistencyError, ContractError, CorpusError, NonFiniteError
 from .metrics import bleu
-from .model import Model, ModelConfig, forced_log_probs, init_params, param_spec
-from .numerics import PRECISIONS, Graph, ParameterStore, backward, mul_const, scale, sum_all
+from .model import Model, ModelConfig, init_params, label_log_probs, param_spec
+from .numerics import PRECISIONS, Graph, ParameterStore, backward, scale, sum_all
 from .textpipe import (
     EOS_ID,
     MergeTable,
@@ -32,6 +35,7 @@ from .textpipe import (
     make_batches,
     pad_rows,
     segment_line,
+    within_limits,
 )
 
 
@@ -93,8 +97,9 @@ def batch_nll(model: Model, batch) -> "Tensor":
     n = float(mask.sum())
     if n == 0:
         raise ContractError("batch contains no unmasked target tokens")
-    picked, _ = forced_log_probs(model, batch.source, batch.source_lengths, batch.target)
-    return scale(sum_all(mul_const(picked, mask)), -1.0 / n)
+    picked = label_log_probs(model, batch.source, batch.source_lengths, batch.target,
+                             batch.target_lengths)
+    return scale(sum_all(picked), -1.0 / n)
 
 
 def global_norm(grads: dict) -> float:
@@ -147,6 +152,8 @@ class TrainResult:
     best_dir: Path | None
     best_dev_nll: float | None
     log_path: Path
+    dropped_pairs: int  # training pairs over the length limits
+    pad_share: float | None  # PAD share of the label positions this call trained on
 
 
 def config_dict(model_config: ModelConfig, train_config: TrainConfig) -> dict:
@@ -373,6 +380,8 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
              "merges": paths.merges}
 
     def save(directory, position):
+        log.flush()
+        os.fsync(log.fileno())
         tensors = {name: t.data for name, t in store.items()}
         tensors.update({f"adam.m.{k}": v for k, v in opt.m.items()})
         tensors.update({f"adam.v.{k}": v for k, v in opt.v.items()})
@@ -381,12 +390,18 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
             state["best_dev_nll"] = best_nll
         save_checkpoint(directory, conf, state, tensors, files)
 
+    kept = within_limits(train_pairs, train_config.max_source_len, train_config.target_limit())
     stream = _batch_stream(train_pairs, src_vocab, tgt_vocab, train_config,
                            epoch, batch_start)
     position = (epoch, batch_start)
+    label_positions = real_positions = 0  # over the batches this call trains on
+    dev_nll = None
     with open(log_path, "w" if resume is None else "a", encoding="utf-8") as log:
         while opt.step < train_config.max_steps:
             batch, cur_epoch, cur_index, position = next(stream)
+            labels = batch.label_mask()
+            label_positions += labels.size
+            real_positions += int(labels.sum())
             with Graph(store) as graph:
                 loss = batch_nll(model, batch)
             where = f"at step {opt.step + 1} (epoch {cur_epoch}, batch {cur_index})"
@@ -406,10 +421,6 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
                     model, dev_src_lines, dev_ref_lines, src_vocab, merges,
                     tgt_vocab, train_config.target_unit,
                 )
-                if dev_nll < best_nll:
-                    best_nll = dev_nll
-                    save(best_dir, position)
-                save(latest_dir, position)
 
             line = "\t".join([
                 str(opt.step),
@@ -419,13 +430,21 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
                 "-" if dev_bleu is None else f"{dev_bleu:.4f}",
             ])
             log.write(line + "\n")
+            if dev_nll is not None:
+                if dev_nll < best_nll:
+                    best_nll = dev_nll
+                    save(best_dir, position)
+                save(latest_dir, position)
             if echo is not None:
                 echo(line)
-    save(latest_dir, position)
+        if dev_nll is None:  # else the last step's validation saved `latest`
+            save(latest_dir, position)
     return TrainResult(
         steps=opt.step,
         latest_dir=latest_dir,
         best_dir=best_dir if math.isfinite(best_nll) and best_dir.exists() else None,
         best_dev_nll=best_nll if math.isfinite(best_nll) else None,
         log_path=log_path,
+        dropped_pairs=len(train_pairs) - len(kept),
+        pad_share=1.0 - real_positions / label_positions if label_positions else None,
     )

@@ -101,7 +101,49 @@ class TestRoundTrip:
         self._kill_between_renames(out)
         save_checkpoint(out, config, dict(state, step=13), tensors, files)
         assert load_checkpoint(out).state["step"] == 13
-        assert not list(tmp_path.glob(".ckpt.*.old"))
+        assert not list(tmp_path.glob(".ckpt.*"))
+
+    def test_save_removes_debris_of_killed_saves(self, tmp_path):
+        config, state, tensors, files = _sample(tmp_path)
+        out = tmp_path / "ckpt"
+        save_checkpoint(out, config, state, tensors, files)
+        # a kill inside _write_contents, and one after the swap's second rename
+        half = out.with_name(f".ckpt.{uuid.uuid4().hex}.tmp")
+        half.mkdir()
+        (half / BLOB_NAME).write_bytes(b"\0" * 64)
+        shutil.copytree(out, out.with_name(f".ckpt.{uuid.uuid4().hex}.old"))
+        others = [tmp_path / f".other.{uuid.uuid4().hex}.tmp", tmp_path / ".ckpt.x.old"]
+        for path in others:
+            path.mkdir()
+        save_checkpoint(out, config, dict(state, step=13), tensors, files)
+        assert load_checkpoint(out).state["step"] == 13
+        assert sorted(tmp_path.glob(".*")) == sorted(others)
+
+    def test_save_fsyncs_before_the_swap_and_the_parent_after(self, tmp_path, monkeypatch):
+        config, state, tensors, files = _sample(tmp_path)
+        out = tmp_path / "ckpt"
+        save_checkpoint(out, config, state, tensors, files)
+        events = []
+        real_fsync, real_replace = checkpoint_mod._fsync, checkpoint_mod.os.replace
+
+        def fsync(path):
+            events.append(("fsync", path))
+            real_fsync(path)
+
+        def replace(src, dst):
+            events.append(("replace", dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(checkpoint_mod, "_fsync", fsync)
+        monkeypatch.setattr(checkpoint_mod.os, "replace", replace)
+        save_checkpoint(out, config, dict(state, step=13), tensors, files)
+        swap = events.index(("replace", out))
+        synced = [p for kind, p in events[:swap] if kind == "fsync"]
+        tmp = synced[-1]
+        assert tmp.name.startswith(".ckpt.") and tmp.name.endswith(".tmp")
+        assert sorted(p.name for p in synced[:-1]) == sorted(
+            [BLOB_NAME, MANIFEST_NAME, "src_vocab.txt"])
+        assert ("fsync", tmp_path) in events[swap:]
 
     def test_ambiguous_checkpoints_aside_are_not_recovered(self, tmp_path):
         config, state, tensors, files = _sample(tmp_path)

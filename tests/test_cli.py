@@ -3,8 +3,10 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +193,40 @@ class TestTrainCommand:
         assert (out_dir / "latest").is_dir()
         assert "trained 0 steps" in capsys.readouterr().out
 
+    def test_summary_reports_dropped_pairs_and_padding(self, workspace, tmp_path, capsys):
+        assert main(["train", "--config", str(workspace["config"]),
+                     f"out_dir={tmp_path / 'run'}", "max_steps=1"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("trained 1 steps; latest checkpoint at ")
+        # every training line has 5 characters, so no pair is dropped and none pads
+        assert last.endswith("; 0 training pairs over the length limits dropped; "
+                             "PAD 0.0% of the target positions trained on")
+
+    def test_summary_after_a_resume_with_nothing_left_to_train(self, workspace, tmp_path,
+                                                               capsys):
+        run = tmp_path / "run"
+        args = ["train", "--config", str(workspace["config"]), f"out_dir={run}", "max_steps=1"]
+        assert main(args) == 0
+        assert main(args + [f"resume={run / 'latest'}"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == (f"trained 1 steps; latest checkpoint at {run / 'latest'}; "
+                        "0 training pairs over the length limits dropped")
+
+    def test_resume_recovers_latest_left_aside_by_a_kill(self, workspace, tmp_path):
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(workspace["config"]), f"out_dir={run}"]) == 0
+        latest = run / "latest"
+        os.replace(latest, latest.with_name(f".latest.{uuid.uuid4().hex}.old"))
+        assert main(["train", "--config", str(workspace["config"]), f"out_dir={run}",
+                     "max_steps=4", f"resume={latest}"]) == 0
+        assert load_trained_model(latest).state["step"] == 4
+
+    def test_missing_resume_checkpoint_fails_cleanly(self, workspace, tmp_path, capsys):
+        code = main(["train", "--config", str(workspace["config"]),
+                     f"out_dir={tmp_path / 'run'}", f"resume={tmp_path / 'nothing'}"])
+        assert code == 1
+        assert "is not a checkpoint" in capsys.readouterr().err
+
     def test_unknown_override_fails_cleanly(self, workspace, tmp_path, capsys):
         code = main(["train", "--config", str(workspace["config"]),
                      "bogus_key=1"])
@@ -369,3 +405,34 @@ def test_cli_pins_one_blas_thread_unless_set(preset, expected):
     proc = subprocess.run([sys.executable, "-c", _SPY], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert json.loads(proc.stdout) == expected
+
+
+def test_run_killed_at_a_random_step_resumes_to_the_uninterrupted_result(workspace, tmp_path):
+    """SIGKILL a `charnmt train` process once it has logged a seeded random
+    step, resume it in place, and compare with a run never killed."""
+    src = Path(charnmt.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
+    config = write_config(tmp_path / "run.conf", workspace["paths"],
+                          max_steps=12, validate_every=3)
+    command = [sys.executable, "-m", "charnmt.cli", "train", "--config", str(config)]
+    full, run = tmp_path / "full", tmp_path / "run"
+    subprocess.run(command + [f"out_dir={full}"], env=env, check=True,
+                   capture_output=True, timeout=300)
+
+    kill_after = int(np.random.default_rng(8).integers(3, 12))
+    proc = subprocess.Popen(command + [f"out_dir={run}"], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    try:
+        for line in proc.stdout:
+            if line.startswith(f"{kill_after}\t"):
+                proc.send_signal(signal.SIGKILL)
+                break
+    finally:
+        proc.kill()
+        proc.stdout.close()
+        proc.wait(timeout=60)
+    assert proc.returncode == -signal.SIGKILL
+    subprocess.run(command + [f"out_dir={run}", f"resume={run / 'latest'}"], env=env,
+                   check=True, capture_output=True, timeout=300)
+    for name in ("train.log", "latest/params.bin"):
+        assert (run / name).read_bytes() == (full / name).read_bytes(), name

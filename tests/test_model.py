@@ -16,6 +16,7 @@ from charnmt.model import (
     forced_log_probs,
     gru_cell,
     init_params,
+    label_log_probs,
     make_decoder,
     param_spec,
     sequence_log_prob,
@@ -474,6 +475,46 @@ class TestBatchingConsistency:
             np.testing.assert_allclose(picked.data[:, t], ref, rtol=0,
                                        atol=16 * eps * np.abs(ref).max())
             assert np.array_equal(alpha.data, alphas[t].data)
+
+
+class TestLabelLogProbs:
+    # rows out of length order; target lengths (BOS + symbols + EOS) 3, 6, 2, 6
+    SRC = np.array([[4, 5, 1, 3], [7, 1, 3, 3], [9, 8, 7, 1], [6, 1, 3, 3]])
+    SRC_LEN = np.array([3, 2, 4, 2])
+    TGT = np.array([[0, 5, 1, 3, 3, 3], [0, 7, 4, 6, 8, 1], [0, 1, 3, 3, 3, 3],
+                    [0, 6, 6, 5, 2, 1]])
+    TGT_LEN = np.array([3, 6, 2, 6])
+
+    def _run(self, m, packed):
+        mask = (np.arange(1, 6)[None, :] < self.TGT_LEN[:, None]).astype(float)
+        with Graph(m.store) as graph:
+            if packed:
+                picked = label_log_probs(m, self.SRC, self.SRC_LEN, self.TGT, self.TGT_LEN)
+                loss = sum_all(picked)
+            else:
+                picked, _ = forced_log_probs(m, self.SRC, self.SRC_LEN, self.TGT)
+                loss = sum_all(mul_const(picked, mask))
+        grads = {k: t.data for k, t in backward(graph, loss).items()}
+        return picked.data[mask > 0] if not packed else picked.data, loss, grads, graph
+
+    @pytest.mark.parametrize("decoder,query", [("base", "both"), ("base", "faster"),
+                                               ("biscale", "slower"), ("biscale", "both")])
+    def test_matches_masked_forced_scores(self, decoder, query):
+        """Same labels, loss and gradients as the padded pass (float64)."""
+        m = tiny_model(41, decoder=decoder, attention_query=query)
+        ref, ref_loss, ref_grads, _ = self._run(m, packed=False)
+        got, loss, grads, graph = self._run(m, packed=True)
+        np.testing.assert_allclose(np.sort(got), np.sort(ref), rtol=0, atol=1e-12)
+        assert abs(float(loss.data) - float(ref_loss.data)) < 1e-10
+        assert_arrays_close(grads, ref_grads)
+        assert all(np.any(g != 0) for g in grads.values())
+
+    @pytest.mark.parametrize("decoder", ["base", "biscale"])
+    def test_steps_only_the_rows_still_running(self, decoder):
+        _, _, _, graph = self._run(tiny_model(41, decoder=decoder), packed=True)
+        rows = [node.output[0].shape[0] for node in graph.nodes if node.op == "attention"]
+        assert rows == [4, 3, 2, 2, 2]  # one label per row and position: 13 in all
+        assert sum(node.op == "take_rows" for node in graph.nodes) == 2
 
 
 class TestGradients:

@@ -198,6 +198,11 @@ def _primitive_cases():
          lambda s: nm.concat([s["a"], s["b"]]))
     case("stack_time", {"a": _rand(rng, 3, 2), "b": _rand(rng, 3, 2)},
          lambda s: nm.stack_time([s["a"], s["b"]]))
+    case("concat_rows", {"a": _rand(rng, 3, 2), "b": _rand(rng, 1, 2), "c": _rand(rng, 2, 2)},
+         lambda s: nm.concat_rows([s["a"], s["b"], s["c"]]))
+    rows_inputs = {"a": _rand(rng, 4, 2), "b": _rand(rng, 4, 3, 2)}
+    case("take_rows", rows_inputs, lambda s: nm.take_rows([s["a"], s["b"]], 3))
+    case("take_rows_first_only", rows_inputs, lambda s: nm.take_rows([s["a"], s["b"]], 2)[0])
     case("attn_mix", {"alpha": _rand(rng, 2, 3), "ctx": _rand(rng, 2, 3, 4)},
          lambda s: attn_mix(s["alpha"], s["ctx"]))
     pick_ids = np.array([1, 3, 0])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charnmt.errors import ConfigError, CorpusError, DomainError
+from charnmt.synth import make_lexicon, transliteration_corpus
 from charnmt.textpipe import (
     BOS_ID,
     EOS_ID,
@@ -425,3 +426,72 @@ class TestMakeBatches:
         assert lm.shape == (len(b.source), b.target.shape[1] - 1)
         # one label per real target token plus EOS (BOS is input only)
         assert lm.sum() == (b.target_lengths - 1).sum()
+
+
+def _numbered_pairs(rng, n, tgt_max=28):
+    """Pairs whose source spells their index, so a batch row names its pair."""
+    return [([str(i)], ["x"] * int(rng.integers(1, tgt_max + 1))) for i in range(n)]
+
+
+def _row_ids(batch, vocab):
+    return [int(vocab.symbols[row[0]]) for row in batch.source]
+
+
+def _padded_widths(pairs, chunks):
+    return sum(max(len(pairs[i][1]) for i in chunk) + 2 for chunk in chunks)
+
+
+class TestLengthBuckets:
+    def _vocabs(self, n):
+        src = Vocabulary("subword", list(RESERVED) + [str(i) for i in range(n)])
+        tgt = Vocabulary("character", list(RESERVED) + ["x"])
+        return src, tgt
+
+    @pytest.mark.parametrize("n,batch_size", [(1, 4), (37, 4), (400, 8), (453, 7), (960, 16)])
+    def test_each_kept_pair_once_per_epoch(self, n, batch_size):
+        pairs = _numbered_pairs(np.random.default_rng(n), n)
+        src, tgt = self._vocabs(n)
+        batches = make_batches(pairs, src, tgt, 50, 20, batch_size, seed=3)
+        kept = sorted(i for i, (_, t) in enumerate(pairs) if len(t) <= 20)
+        assert len(batches) == -(-len(kept) // batch_size)
+        assert sorted(i for b in batches for i in _row_ids(b, src)) == kept
+        assert all(len(b.source) <= batch_size for b in batches)
+
+    def test_ties_follow_the_seeded_permutation(self):
+        """With every target of one length, batches are runs of the permutation."""
+        n, batch_size = 300, 8
+        pairs = [([str(i)], ["x"] * 5) for i in range(n)]
+        src, tgt = self._vocabs(n)
+        for seed in (0, 1):
+            where = np.argsort(np.random.default_rng(seed).permutation(n))
+            for batch in make_batches(pairs, src, tgt, 50, 100, batch_size, seed=seed):
+                places = where[_row_ids(batch, src)]
+                assert places.tolist() == list(range(places[0], places[0] + len(places)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pads_no_more_than_unsorted_chunks(self, seed):
+        """Against batches cut straight from the same permutation."""
+        n, batch_size = 700, 8
+        pairs = _numbered_pairs(np.random.default_rng(100 + seed), n)
+        src, tgt = self._vocabs(n)
+        batches = make_batches(pairs, src, tgt, 50, 100, batch_size, seed=seed)
+        order = np.random.default_rng(seed).permutation(n)
+        unsorted = [order[i : i + batch_size] for i in range(0, n, batch_size)]
+        assert sum(b.target.shape[1] for b in batches) <= _padded_widths(pairs, unsorted)
+
+    def test_benchmark_sized_corpus_steps_fall_an_eighth(self):
+        """Recurrence steps per batch on the benchmark's corpus: 27.0 unsorted,
+        23.1 in windows of two batches (seeds 5-11)."""
+        lexicon = make_lexicon(40, 4, 6, seed=7)
+        raw = transliteration_corpus(2000, seed=5, lexicon=lexicon, words_per_sentence=(2, 4))
+        merges = learn_bpe([s for s, _ in raw], 150)
+        pairs = [(segment_line(s, "subword", merges), list(t)) for s, t in raw]
+        src = build_vocab([" ".join(s) for s, _ in pairs], "subword", 400)
+        tgt = build_vocab([t for _, t in raw], "character", 60)
+        for seed in (5, 6):
+            batches = make_batches(pairs, src, tgt, 50, 500, 32, seed=seed)
+            order = np.random.default_rng(seed).permutation(len(pairs))
+            unsorted = [order[i : i + 32] for i in range(0, len(pairs), 32)]
+            steps = np.mean([b.target.shape[1] - 1 for b in batches])
+            unsorted_steps = _padded_widths(pairs, unsorted) / len(unsorted) - 1
+            assert steps <= 0.875 * unsorted_steps

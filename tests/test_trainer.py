@@ -4,6 +4,7 @@ import math
 import os
 import uuid
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -422,6 +423,37 @@ class TestTrainLoop:
         resumed = train(mc, tc, run, resume=run.out_dir / "latest")
         assert resumed.log_path.read_bytes() == full.log_path.read_bytes()
 
+    def test_latest_is_written_once_per_validation_and_at_the_end(self, corpus, tmp_path,
+                                                                  monkeypatch):
+        paths, n_src, n_tgt = corpus
+        run = TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "run"})
+        real, saved = trainer_mod.save_checkpoint, []
+
+        def recording(directory, config, state, *rest):
+            saved.append((Path(directory).name, state["step"]))
+            return real(directory, config, state, *rest)
+
+        monkeypatch.setattr(trainer_mod, "save_checkpoint", recording)
+        train(*tiny_configs(n_src, n_tgt, max_steps=4, validate_every=2), run)
+        assert [s for s in saved if s[0] == "latest"] == [("latest", 2), ("latest", 4)]
+        saved.clear()
+        train(*tiny_configs(n_src, n_tgt, max_steps=5, validate_every=2), run,
+              resume=run.out_dir / "latest")
+        assert saved == [("latest", 5)]
+
+    def test_resume_past_the_end_of_a_shorter_epoch_starts_the_next(self, corpus, tmp_path):
+        paths, n_src, n_tgt = corpus
+        run = TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "run"})
+        # 6 pairs in batches of 2: the checkpoint after step 2 points at batch 2
+        train(*tiny_configs(n_src, n_tgt, max_steps=2, batch_size=2), run)
+        assert load_checkpoint(run.out_dir / "latest").state["batch"] == 2
+        # in batches of 4 the epoch has only batches 0 and 1
+        mc, tc = tiny_configs(n_src, n_tgt, max_steps=3, batch_size=4)
+        resumed = train(mc, tc, run, resume=run.out_dir / "latest")
+        assert resumed.steps == 3
+        assert load_checkpoint(resumed.latest_dir).state == {
+            "step": 3, "epoch": 1, "batch": 1, "best_dev_nll": resumed.best_dev_nll}
+
     def test_resume_recovers_latest_left_aside_by_a_kill(self, corpus, tmp_path):
         paths, n_src, n_tgt = corpus
         mc, tc = tiny_configs(n_src, n_tgt, max_steps=4, validate_every=2)
@@ -453,6 +485,21 @@ class TestTrainLoop:
         # this run ends before its first validation
         result = train(*tiny_configs(n_src, n_tgt, max_steps=1, validate_every=2), run)
         assert result.best_dir is None and result.best_dev_nll is None
+
+    def test_reports_dropped_pairs_and_padding_of_the_trained_batches(self, tmp_path):
+        paths, n_src, n_tgt = corpus_files(tmp_path / "data")
+        lines = TRAIN_LINES + ["ab", "ab ab ab", "ab ab ab ab"]
+        for path in (paths.train_source, paths.train_target):
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        mc, tc = tiny_configs(n_src, n_tgt, max_steps=2, max_target_len=8)
+        result = train(mc, tc, paths)
+        assert result.dropped_pairs == 1  # the 11-character line
+        # labels (characters + EOS) 3, 6 x 6 and 9 bucket into batches
+        # [6, 6, 6, 9] and [3, 6, 6, 6]: 48 real of 4 * 9 + 4 * 6 positions
+        assert result.pad_share == pytest.approx(1 - 48 / 60)
+        # a resumed call reports only the batch it trained on: either of the two
+        resumed = train(mc, replace(tc, max_steps=3), paths, resume=result.latest_dir)
+        assert resumed.pad_share in (pytest.approx(1 - 24 / 36), pytest.approx(1 - 21 / 24))
 
     def test_log_trim_keeps_the_old_log_when_the_rename_fails(self, tmp_path, monkeypatch):
         log = tmp_path / "train.log"
