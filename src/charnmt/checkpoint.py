@@ -56,8 +56,10 @@ def _sha256(path: Path) -> str:
 
 def replace_into(path, write) -> None:
     """Run `write(tmp_path)` then atomically rename the result into place,
-    so a failure leaves the old file and no temporary one. `write` may
-    instead be the text to write."""
+    so a failure leaves the old file and no temporary one. The result is
+    fsynced before the rename and the directory after it, so a crash leaves
+    the old file or the whole new one. `write` may instead be the text to
+    write."""
     if isinstance(write, str):
         text = write
         write = lambda tmp: tmp.write_text(text, encoding="utf-8")
@@ -66,9 +68,11 @@ def replace_into(path, write) -> None:
     tmp = path.with_name(path.name + ".tmp")
     try:
         write(tmp)
+        _fsync(tmp)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    _fsync(path.parent)
 
 
 def save_checkpoint(directory, config: dict, state: dict, tensors: dict, files: dict) -> Path:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError, EnsembleError
+from .errors import ConfigError, EnsembleError
 from .numerics import Tensor
 from .textpipe import (
     BOS_ID,
@@ -296,16 +296,7 @@ def translate_corpus(models, lines, src_vocab: Vocabulary, tgt_vocab: Vocabulary
     `beam_search` call; the default cap is each line's own."""
     _check_ensemble(models)
     for m in models:
-        if m.config.src_vocab_size != len(src_vocab):
-            raise ConsistencyError(
-                f"model expects source vocabulary of {m.config.src_vocab_size}, "
-                f"file has {len(src_vocab)}"
-            )
-        if m.config.tgt_vocab_size != len(tgt_vocab):
-            raise ConsistencyError(
-                f"model expects target vocabulary of {m.config.tgt_vocab_size}, "
-                f"file has {len(tgt_vocab)}"
-            )
+        m.config.check_vocab_sizes(len(src_vocab), len(tgt_vocab), "the given vocabularies")
     segmented = [apply_bpe(line.split(), merges) for line in lines]
     caps = np.array([max_len if max_len is not None else default_max_len(len(s), unit)
                      for s in segmented], dtype=int)

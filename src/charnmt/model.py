@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, VocabularyError
+from .errors import ConfigError, ConsistencyError, ContractError, VocabularyError
 from .textpipe import BOS_ID
 from .numerics import (
     ParameterStore,
@@ -75,6 +75,14 @@ class ModelConfig:
 
     def output_width(self) -> int:
         return self.d_dec * (2 if self.decoder == "biscale" else 1)
+
+    def check_vocab_sizes(self, src_size: int, tgt_size: int, where: str) -> None:
+        """Raise ConsistencyError unless vocabularies of `src_size` and
+        `tgt_size` symbols, read from `where`, fit this architecture."""
+        if (src_size, tgt_size) != (self.src_vocab_size, self.tgt_vocab_size):
+            raise ConsistencyError(
+                f"{where} hold {src_size}/{tgt_size} source/target symbols, but the model has "
+                f"src_vocab_size={self.src_vocab_size}, tgt_vocab_size={self.tgt_vocab_size}")
 
 
 def _orthogonal(rng, shape):
@@ -174,7 +182,6 @@ class ContextSet:
     annotations: Tensor  # (B, T_x, 2*d_enc)
     keys: Tensor  # (B, T_x, d_att)
     mask: np.ndarray  # (B, T_x), 1.0 at real positions
-    lengths: np.ndarray  # (B,)
     backward_head: Tensor  # (B, d_enc): backward state at the first position
 
     @property
@@ -210,7 +217,7 @@ def encode(store: ParameterStore, config: ModelConfig, source, lengths=None) -> 
     bw, backward_head = masked_chain("enc_bw", range(T - 1, -1, -1))
     annotations = concat([fw, bw])
     keys = linear(annotations, store["att.W_key"])
-    return ContextSet(annotations, keys, mask, lengths, backward_head)
+    return ContextSet(annotations, keys, mask, backward_head)
 
 
 @dataclass
@@ -363,57 +370,39 @@ class Model:
         return _output_log_probs(self.store, parts), new_state, alpha
 
 
-def forced_log_probs(model: Model, source, src_lengths, target):
-    """Teacher-forced pass over a batch.
-
-    `target` is (B, T) holding BOS + symbols + EOS (+ PAD). The recurrence
-    runs position by position; the output layer then runs once over all
-    positions, since under teacher forcing it never feeds the recurrence.
-    Returns the picked log-probability Tensor of shape (B, T-1) — position
-    j scores target[:, j+1] — and the list of T-1 alignment Tensors.
-    """
-    target = np.asarray(target)
-    ctx = model.encode(source, src_lengths)
-    state = model.initial_state(ctx)
-    steps, alphas = [], []
-    for t in range(target.shape[1] - 1):
-        parts, state, alpha = model.advance(target[:, t], state, ctx)
-        steps.append(parts)
-        alphas.append(alpha)
-    stacked = [stack_time(list(column)) for column in zip(*steps)]
-    return _output_log_probs(model.store, stacked, target[:, 1:]), alphas
-
-
 def label_log_probs(model: Model, source, src_lengths, target, target_lengths):
     """Teacher-forced log-probabilities of a batch's labels, without padding.
 
-    The picked entries of `forced_log_probs` under the label mask, up to
-    summation order, at the cost of the real labels only: rows run longest
-    target first (a stable order), so the rows whose target is still
-    running are a prefix, and when rows finish one `take_rows` node cuts
-    the state and the context set down to that prefix. The output layer
-    then scores the real labels alone. Returns a Tensor of shape (labels,):
-    position 0's labels of every row, then position 1's of the rows still
-    running, and so on.
+    `target` is (B, T) holding BOS + symbols + EOS (+ PAD), and a row's
+    target length counts its BOS. Rows run longest target first (a stable
+    order), so the rows whose target is still running are a prefix, and
+    when rows finish one `take_rows` node cuts the state and the context
+    set down to that prefix. The output layer then runs once, over the real
+    labels alone, since under teacher forcing it never feeds the
+    recurrence. Returns a Tensor of shape (labels,): position 0's labels of
+    every row, then position 1's of the rows still running, and so on; and
+    per position the alignment Tensor (live rows, T_x) of those rows, in
+    the same order. Its oracle is the padded pass over every position kept
+    in `tests/conftest.py`, which it agrees with up to summation order.
     """
     order = np.argsort(-np.asarray(target_lengths), kind="stable")
     target, lengths = np.asarray(target)[order], np.asarray(target_lengths)[order]
     ctx = model.encode(np.asarray(source)[order], np.asarray(src_lengths)[order])
     state = model.initial_state(ctx)
-    steps, labels = [], []
+    steps, labels, alphas = [], [], []
     for t in range(target.shape[1] - 1):
         live = int(np.count_nonzero(lengths > t + 1))
-        if live < len(ctx.lengths):
+        if live < len(ctx.mask):
             cut = take_rows([ctx.annotations, ctx.keys,
                              *(getattr(state, f.name) for f in fields(state))], live)
-            ctx = ContextSet(cut[0], cut[1], ctx.mask[:live], ctx.lengths[:live],
-                             ctx.backward_head)
+            ctx = ContextSet(cut[0], cut[1], ctx.mask[:live], ctx.backward_head)
             state = type(state)(*cut[2:])
-        parts, state, _ = model.advance(target[:live, t], state, ctx)
+        parts, state, alpha = model.advance(target[:live, t], state, ctx)
         steps.append(parts)
         labels.append(target[:live, t + 1])
+        alphas.append(alpha)
     stacked = [concat_rows(list(column)) for column in zip(*steps)]
-    return _output_log_probs(model.store, stacked, np.concatenate(labels))
+    return _output_log_probs(model.store, stacked, np.concatenate(labels)), alphas
 
 
 def sequence_log_prob(model: Model, source, target):
@@ -426,7 +415,8 @@ def sequence_log_prob(model: Model, source, target):
     target = np.asarray(target)
     if source.size == 0 or target.size == 0:
         raise ContractError("sequence_log_prob: empty sequence")
-    picked, alphas = forced_log_probs(model, source[None, :], None,
-                                      np.concatenate([[BOS_ID], target])[None, :])
-    per_pos = picked.data[0].astype(float)
+    picked, alphas = label_log_probs(model, source[None, :], [source.size],
+                                     np.concatenate([[BOS_ID], target])[None, :],
+                                     [target.size + 1])
+    per_pos = picked.data.astype(float)
     return float(np.sum(per_pos)), per_pos, np.stack([a.data[0].astype(float) for a in alphas])

@@ -106,9 +106,6 @@ class ParameterStore:
     def __contains__(self, name: str) -> bool:
         return name in self._tensors
 
-    def names(self):
-        return list(self._tensors)
-
     def items(self):
         return self._tensors.items()
 
@@ -165,17 +162,6 @@ def _record(op, inputs, out_data, grad_fn):
     return out
 
 
-def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape` after a broadcasting forward op."""
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 # --- primitives ---
 
 
@@ -218,21 +204,6 @@ def tanh(x: Tensor) -> Tensor:
 def _sigmoid(d):
     # tanh form: cannot overflow, and saturates exactly at 0 and 1.
     return 0.5 * np.tanh(0.5 * d) + 0.5
-
-
-def _broadcast_shapes(op, a, b):
-    try:
-        return np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not match") from None
-
-
-def mul_const(x: Tensor, const: np.ndarray) -> Tensor:
-    """Multiply by a non-differentiable constant (masks, scaling arrays)."""
-    c = np.asarray(const, dtype=x.data.dtype)
-    _broadcast_shapes("multiply", x, Tensor(c))
-    y = x.data * c
-    return _record("mul_const", (x,), y, lambda dy: (_unbroadcast(dy * c, x.shape),))
 
 
 def scale(x: Tensor, s: float) -> Tensor:

@@ -97,8 +97,8 @@ def batch_nll(model: Model, batch) -> "Tensor":
     n = float(mask.sum())
     if n == 0:
         raise ContractError("batch contains no unmasked target tokens")
-    picked = label_log_probs(model, batch.source, batch.source_lengths, batch.target,
-                             batch.target_lengths)
+    picked, _ = label_log_probs(model, batch.source, batch.source_lengths, batch.target,
+                                batch.target_lengths)
     return scale(sum_all(picked), -1.0 / n)
 
 
@@ -248,12 +248,7 @@ def load_trained_model(directory) -> TrainedModel:
     src_vocab = Vocabulary.load(cp.files["src_vocab"], "subword")
     tgt_vocab = Vocabulary.load(cp.files["tgt_vocab"], tc.target_unit)
     merges = MergeTable.load(cp.files["merges"])
-    if len(src_vocab) != mc.src_vocab_size or len(tgt_vocab) != mc.tgt_vocab_size:
-        raise ConsistencyError(
-            f"bundled vocabularies ({len(src_vocab)}/{len(tgt_vocab)} symbols) do not "
-            f"match the stored architecture "
-            f"({mc.src_vocab_size}/{mc.tgt_vocab_size})"
-        )
+    mc.check_vocab_sizes(len(src_vocab), len(tgt_vocab), f"the vocabularies bundled in {directory}")
     return TrainedModel(
         model=Model(mc, store), model_config=mc, train_config=tc,
         src_vocab=src_vocab, tgt_vocab=tgt_vocab, merges=merges, state=cp.state,
@@ -328,16 +323,8 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
     merges = MergeTable.load(paths.merges)
     src_vocab = Vocabulary.load(paths.src_vocab, "subword")
     tgt_vocab = Vocabulary.load(paths.tgt_vocab, train_config.target_unit)
-    if model_config.src_vocab_size != len(src_vocab):
-        raise ConsistencyError(
-            f"config says src_vocab_size={model_config.src_vocab_size}, "
-            f"file has {len(src_vocab)} symbols"
-        )
-    if model_config.tgt_vocab_size != len(tgt_vocab):
-        raise ConsistencyError(
-            f"config says tgt_vocab_size={model_config.tgt_vocab_size}, "
-            f"file has {len(tgt_vocab)} symbols"
-        )
+    model_config.check_vocab_sizes(len(src_vocab), len(tgt_vocab),
+                                   f"the vocabulary files {paths.src_vocab}, {paths.tgt_vocab}")
     train_pairs = _segment_pairs(
         load_parallel(paths.train_source, paths.train_target), merges,
         train_config.target_unit,

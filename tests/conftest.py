@@ -1,6 +1,7 @@
 """Shared helpers for building small models and corpora in tests, and the
 oracles the fast paths are checked against: the model's layers built from
-single-operation tape primitives, and the per-sentence beam search."""
+single-operation tape primitives, the padded teacher-forced pass, and the
+per-sentence beam search."""
 
 import dataclasses
 
@@ -9,11 +10,10 @@ import numpy as np
 import charnmt.model as model_mod
 from charnmt.decode import Hypothesis, _check_ensemble, ensemble_log_probs
 from charnmt.errors import ConfigError, DimensionError, DomainError
-from charnmt.model import AttentionOutput, BiScaleState, ContextSet, Model, ModelConfig, init_params
-from charnmt.numerics import (
-    Tensor, _broadcast_shapes, _record, _sigmoid, _unbroadcast, affine, concat, linear,
-    mul_const, tanh,
+from charnmt.model import (
+    AttentionOutput, BiScaleState, ContextSet, Model, ModelConfig, _output_log_probs, init_params,
 )
+from charnmt.numerics import Tensor, _record, _sigmoid, affine, concat, linear, stack_time, tanh
 from charnmt.textpipe import BOS_ID, EOS_ID
 
 COPY_WORDS = ("abc", "bca", "cab", "acb", "bac", "cba", "aab", "bcc", "caa", "abb")
@@ -55,6 +55,32 @@ def copy_task_corpus(n_pairs: int = 400, seed: int = 5,
 
 # --- single-operation primitives: the composite layers below are built from
 # them, one tape node per operation ---
+
+
+def _unbroadcast(grad, shape):
+    """Sum `grad` down to `shape` after a broadcasting forward op."""
+    extra = grad.ndim - len(shape)
+    if extra:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
+def _broadcast_shapes(op, a, b):
+    try:
+        return np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not match") from None
+
+
+def mul_const(x: Tensor, const: np.ndarray) -> Tensor:
+    """Multiply by a non-differentiable constant (masks, scaling arrays)."""
+    c = np.asarray(const, dtype=x.data.dtype)
+    _broadcast_shapes("multiply", x, Tensor(c))
+    y = x.data * c
+    return _record("mul_const", (x,), y, lambda dy: (_unbroadcast(dy * c, x.shape),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -231,6 +257,27 @@ def use_composite_layers(monkeypatch):
                         lambda self, *args: composite_biscale_step(*args))
 
 
+def forced_log_probs(model: Model, source, src_lengths, target):
+    """Teacher-forced pass over a batch.
+
+    `target` is (B, T) holding BOS + symbols + EOS (+ PAD). The recurrence
+    runs position by position; the output layer then runs once over all
+    positions, since under teacher forcing it never feeds the recurrence.
+    Returns the picked log-probability Tensor of shape (B, T-1) — position
+    j scores target[:, j+1] — and the list of T-1 alignment Tensors.
+    """
+    target = np.asarray(target)
+    ctx = model.encode(source, src_lengths)
+    state = model.initial_state(ctx)
+    steps, alphas = [], []
+    for t in range(target.shape[1] - 1):
+        parts, state, alpha = model.advance(target[:, t], state, ctx)
+        steps.append(parts)
+        alphas.append(alpha)
+    stacked = [stack_time(list(column)) for column in zip(*steps)]
+    return _output_log_probs(model.store, stacked, target[:, 1:]), alphas
+
+
 def assert_arrays_close(got, want, atol=1e-10):
     """Same keys, and every array within `atol` of its counterpart."""
     assert set(got) == set(want)
@@ -254,7 +301,6 @@ def _tile_ctx(ctx: ContextSet, n: int) -> ContextSet:
         annotations=Tensor(rep(ctx.annotations.data)),
         keys=Tensor(rep(ctx.keys.data)),
         mask=rep(ctx.mask),
-        lengths=np.repeat(ctx.lengths, n),
         backward_head=Tensor(rep(ctx.backward_head.data)),
     )
 

@@ -15,7 +15,7 @@ REL_FLOOR = 1e-3  # components below this magnitude are checked absolutely
 def finite_difference_grads(loss_fn, store, eps=FD_STEP):
     """d loss / d p for every parameter, by central differences."""
     grads = {}
-    for name in store.names():
+    for name in [n for n, _ in store.items()]:
         base = store[name].data.copy()
         g = np.zeros_like(base, dtype=np.float64)
         flat = base.reshape(-1)

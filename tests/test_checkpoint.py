@@ -12,6 +12,7 @@ from charnmt.checkpoint import (
     BLOB_NAME,
     MANIFEST_NAME,
     load_checkpoint,
+    replace_into,
     save_checkpoint,
 )
 from charnmt.errors import ContractError, IntegrityError
@@ -169,6 +170,29 @@ class TestRoundTrip:
         save_checkpoint(a, config, state, tensors, files)
         save_checkpoint(b, config, state, tensors, files)
         assert (a / BLOB_NAME).read_bytes() == (b / BLOB_NAME).read_bytes()
+
+
+class TestReplaceInto:
+    def test_fsyncs_before_the_rename_and_the_parent_after(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.txt"
+        out.write_text("old\n", encoding="utf-8")
+        events = []
+        real_fsync, real_replace = checkpoint_mod._fsync, checkpoint_mod.os.replace
+
+        def fsync(path):
+            events.append(("fsync", path))
+            real_fsync(path)
+
+        def replace(src, dst):
+            events.append(("replace", src, dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(checkpoint_mod, "_fsync", fsync)
+        monkeypatch.setattr(checkpoint_mod.os, "replace", replace)
+        replace_into(out, "new\n")
+        tmp = tmp_path / "out.txt.tmp"
+        assert events == [("fsync", tmp), ("replace", tmp, out), ("fsync", tmp_path)]
+        assert out.read_text(encoding="utf-8") == "new\n" and not tmp.exists()
 
 
 class TestValidation:

@@ -13,7 +13,6 @@ from charnmt.model import (
     ModelConfig,
     attend,
     encode,
-    forced_log_probs,
     gru_cell,
     init_params,
     label_log_probs,
@@ -22,11 +21,13 @@ from charnmt.model import (
     sequence_log_prob,
 )
 from charnmt.numerics import (
-    Graph, ParameterStore, backward, embed, mul_const, scale, sum_all, tensor,
+    Graph, ParameterStore, backward, embed, scale, sum_all, tensor,
 )
 from charnmt.textpipe import BOS_ID, EOS_ID
 
-from conftest import add, assert_arrays_close, composite_gru_cell
+from conftest import (
+    add, assert_arrays_close, composite_gru_cell, forced_log_probs, mul_const, random_source,
+)
 from fdcheck import assert_grads_close, finite_difference_grads
 
 WIDE = dict(precision="wide")
@@ -203,7 +204,7 @@ class TestEncode:
         src = np.random.default_rng(t_x).integers(0, 11, size=(1, t_x))
         ctx = m.encode(src)
         assert ctx.annotations.shape == (1, t_x, 10)
-        assert ctx.lengths[0] == t_x
+        assert ctx.mask.shape == (1, t_x) and ctx.mask.sum() == t_x
 
     def test_zero_weights_fixed_point(self):
         m = tiny_model(5)
@@ -281,7 +282,6 @@ class TestAttend:
             annotations=tensor(np.zeros((1, 0, 10)), "wide"),
             keys=tensor(np.zeros((1, 0, 6)), "wide"),
             mask=np.zeros((1, 0)),
-            lengths=np.array([0]),
             backward_head=tensor(np.zeros((1, 5)), "wide"),
         )
         with pytest.raises(ContractError):
@@ -426,6 +426,22 @@ class TestSequenceLogProb:
         with pytest.raises(ContractError):
             sequence_log_prob(m, np.array([], dtype=int), np.array([1]))
 
+    @pytest.mark.parametrize("decoder", ["base", "biscale"])
+    @pytest.mark.parametrize("precision", ["wide", "narrow"])
+    def test_equals_the_padded_pass(self, decoder, precision):
+        """One unpadded row: the packed pass does the padded pass's arithmetic."""
+        m = tiny_model(24, decoder=decoder, precision=precision)
+        rng = np.random.default_rng(24)
+        for _ in range(5):
+            src = random_source(rng)
+            tgt = np.append(rng.integers(4, 9, size=int(rng.integers(0, 7))), EOS_ID)
+            total, per_pos, align = sequence_log_prob(m, src, tgt)
+            picked, alphas = forced_log_probs(m, src[None, :], None,
+                                              np.concatenate([[BOS_ID], tgt])[None, :])
+            want = picked.data[0].astype(float)
+            assert np.array_equal(per_pos, want) and total == float(np.sum(want))
+            assert np.array_equal(align, np.stack([a.data[0].astype(float) for a in alphas]))
+
 
 class TestBatchingConsistency:
     @pytest.mark.parametrize("decoder", ["base", "biscale"])
@@ -489,7 +505,7 @@ class TestLabelLogProbs:
         mask = (np.arange(1, 6)[None, :] < self.TGT_LEN[:, None]).astype(float)
         with Graph(m.store) as graph:
             if packed:
-                picked = label_log_probs(m, self.SRC, self.SRC_LEN, self.TGT, self.TGT_LEN)
+                picked, _ = label_log_probs(m, self.SRC, self.SRC_LEN, self.TGT, self.TGT_LEN)
                 loss = sum_all(picked)
             else:
                 picked, _ = forced_log_probs(m, self.SRC, self.SRC_LEN, self.TGT)
@@ -515,6 +531,18 @@ class TestLabelLogProbs:
         rows = [node.output[0].shape[0] for node in graph.nodes if node.op == "attention"]
         assert rows == [4, 3, 2, 2, 2]  # one label per row and position: 13 in all
         assert sum(node.op == "take_rows" for node in graph.nodes) == 2
+
+    @pytest.mark.parametrize("decoder", ["base", "biscale"])
+    def test_alignment_rows_match_the_padded_pass(self, decoder):
+        """Position t's rows are the live rows, longest target first."""
+        m = tiny_model(41, decoder=decoder)
+        _, alphas = label_log_probs(m, self.SRC, self.SRC_LEN, self.TGT, self.TGT_LEN)
+        _, ref = forced_log_probs(m, self.SRC, self.SRC_LEN, self.TGT)
+        order = np.argsort(-self.TGT_LEN, kind="stable")
+        assert list(order) == [1, 3, 0, 2] and len(alphas) == len(ref) == 5
+        for t, (got, want) in enumerate(zip(alphas, ref)):
+            live = order[self.TGT_LEN[order] > t + 1]
+            np.testing.assert_allclose(got.data, want.data[live], rtol=0, atol=1e-12)
 
 
 class TestGradients:
@@ -578,8 +606,8 @@ class TestConfigAndInit:
         a = init_params(cfg, 42)
         b = init_params(cfg, 42)
         c = init_params(cfg, 43)
-        assert all(np.array_equal(a[n].data, b[n].data) for n in a.names())
-        assert any(not np.array_equal(a[n].data, c[n].data) for n in a.names())
+        assert all(np.array_equal(a[n].data, b[n].data) for n, _ in a.items())
+        assert any(not np.array_equal(a[n].data, c[n].data) for n, _ in a.items())
 
     def test_orthogonal_recurrent_matrices(self):
         store = init_params(tiny_config(), 0)
@@ -599,7 +627,7 @@ class TestConfigAndInit:
         cfg = tiny_config(decoder=decoder, attention_query=query, d_att=7)
         store = init_params(cfg, 0)
         spec = param_spec(cfg)
-        assert store.names() == [name for name, _, _ in spec]
+        assert [n for n, _ in store.items()] == [name for name, _, _ in spec]
         assert [store[name].shape for name, _, _ in spec] == [shape for _, shape, _ in spec]
 
     def test_biscale_store_has_no_base_matrices(self):

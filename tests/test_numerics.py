@@ -7,7 +7,7 @@ from charnmt import numerics as nm
 from charnmt.errors import ContractError, DimensionError, DomainError
 
 from conftest import (
-    add, attn_mix, log_softmax, mul, one_minus, pick, reshape, sigmoid, softmax,
+    add, attn_mix, log_softmax, mul, mul_const, one_minus, pick, reshape, sigmoid, softmax,
 )
 from fdcheck import assert_grads_close, finite_difference_grads
 
@@ -209,7 +209,7 @@ def _primitive_cases():
     case("pick", {"x": _rand(rng, 3, 5)}, lambda s: pick(s["x"], pick_ids))
     case("reshape", {"x": _rand(rng, 2, 6)}, lambda s: reshape(s["x"], (3, 4)))
     case("mul_const", {"x": _rand(rng, 3, 4)},
-         lambda s: nm.mul_const(s["x"], np.linspace(0.5, 2.0, 4)))
+         lambda s: mul_const(s["x"], np.linspace(0.5, 2.0, 4)))
     gru_inputs = {"x": _rand(rng, 3, 4), "h": _rand(rng, 3, 5)}
     for kind, shape in (("W", (4, 5)), ("U", (5, 5)), ("b", (5,))):
         for gate in ("r", "u", "c"):
@@ -267,7 +267,7 @@ def test_primitive_gradient_matches_finite_differences(name):
             if probe is None:
                 rng = np.random.default_rng(11)
                 probe = [rng.uniform(-1, 1, o.shape) for o in outs]
-            terms = [nm.sum_all(nm.mul_const(o, p)) for o, p in zip(outs, probe)]
+            terms = [nm.sum_all(mul_const(o, p)) for o, p in zip(outs, probe)]
             loss = terms[0]
             for term in terms[1:]:
                 loss = add(loss, term)

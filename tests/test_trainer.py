@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import uuid
 from collections import Counter
 from dataclasses import replace
@@ -71,7 +72,7 @@ def hand_batch(src_rows, tgt_rows) -> Batch:
 class TestBatchNll:
     def test_zero_parameters_give_uniform_nll(self):
         m = small_model(0)
-        for name in m.store.names():
+        for name in [n for n, _ in m.store.items()]:
             m.store.assign(name, np.zeros_like(m.store[name].data))
         batch = hand_batch([[5, EOS_ID]], [[BOS_ID, 4, 5, EOS_ID]])
         nll = float(batch_nll(m, batch).data)
@@ -573,7 +574,7 @@ class TestTrainLoop:
                            match=r"gradient norm at step 2 \(epoch 0, batch 1\)"):
             train(mc, tc, run)
         after = seen["store"]
-        assert after.names() == list(seen["before"])
+        assert [n for n, _ in after.items()] == list(seen["before"])
         for name, value in seen["before"].items():
             assert np.array_equal(after[name].data, value), name
 
@@ -623,6 +624,20 @@ class TestMalformedCheckpoint:
         _, _, _, latest = trained
         bad = self.rewrite(latest, tmp_path / "bad", "att.v", np.zeros((3, 1)))
         with pytest.raises(ConsistencyError, match=r"'att\.v' has shape \(3, 1\)"):
+            load_trained_model(bad)
+
+    def test_bundled_vocabulary_size_mismatch_on_load(self, trained, tmp_path):
+        mc, _, _, latest = trained
+        cp = load_checkpoint(latest)
+        grown = tmp_path / "vocab.tgt"
+        grown.write_text(cp.files["tgt_vocab"].read_text(encoding="utf-8") + "#\n",
+                         encoding="utf-8")
+        bad = save_checkpoint(tmp_path / "bad", cp.config, cp.state, cp.tensors,
+                              {**cp.files, "tgt_vocab": grown})
+        sizes = (f"{mc.src_vocab_size}/{mc.tgt_vocab_size + 1} source/target symbols, but "
+                 f"the model has src_vocab_size={mc.src_vocab_size}, "
+                 f"tgt_vocab_size={mc.tgt_vocab_size}")
+        with pytest.raises(ConsistencyError, match=re.escape(f"bundled in {bad} hold {sizes}")):
             load_trained_model(bad)
 
     def test_missing_adam_moment_on_resume(self, trained, tmp_path):
