@@ -14,6 +14,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from charnmt.checkpoint import replace_into
 from charnmt.errors import ConsistencyError
 from charnmt.metrics import System, word_nll_by_frequency, word_nll_tsv
 from charnmt.textpipe import load_parallel
@@ -50,7 +51,7 @@ def main() -> int:
     text = word_nll_tsv(rows)
     sys.stdout.write("frequency\twords\tmean_nll_a_minus_b\n" + text)
     if args.output is not None:
-        args.output.write_text(text, encoding="utf-8")
+        replace_into(args.output, text)
     return 0
 
 

@@ -45,12 +45,11 @@ from .textpipe import (
 
 @dataclass
 class Hypothesis:
-    """One (partial or finished) translation in the search."""
+    """One translation returned by a search."""
 
-    tokens: list[int]  # emitted target ids; ends with EOS iff finished
+    tokens: list[int]  # emitted target ids; a search ends each with EOS
     score: float  # sum of the chosen per-step log-probabilities
     alignments: list[np.ndarray]  # one source-weight row per emitted token
-    finished: bool = False
     truncated: bool = False
 
     def alignment_matrix(self) -> np.ndarray:
@@ -261,8 +260,7 @@ def _read_pools(S, lengths, pool, alphas, parents, tokens, length_normalize):
         pools[sent[e]].append(Hypothesis(
             tokens=toks[e, :size[e]].tolist(), score=float(score[e]),
             alignments=list(aligns[e, :size[e], :lengths[sent[e]]].copy()),
-            finished=True, truncated=bool(truncated[e]),
-        ))
+            truncated=bool(truncated[e])))
     return pools
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, ConsistencyError, ContractError, VocabularyError
 from .textpipe import BOS_ID
 from .numerics import (
+    PRECISIONS,
     ParameterStore,
     Tensor,
     affine,
@@ -67,7 +68,7 @@ class ModelConfig:
         for name in ("src_vocab_size", "tgt_vocab_size", "d_emb", "d_enc", "d_dec", "d_att"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.precision not in ("wide", "narrow"):
+        if self.precision not in PRECISIONS:
             raise ConfigError(f"unknown precision {self.precision!r}")
 
     def query_width(self) -> int:
@@ -244,21 +245,15 @@ class BaseDecoderState:
 
 @dataclass
 class BiScaleState:
-    """Faster/slower hidden units with the gated variants one step carries.
-
-    `h1_carried` = (1-g1)*h1 feeds the next faster update; `h2_feedback` =
-    g1*h2 is the slower layer's top-down signal to the faster layer;
-    `h2_carried` = (1-g2)*h2 enters the next candidate and gate inputs.
-    """
+    """Faster/slower hidden units h1, h2 and the gates g1, g2 that produced
+    them. The next step carries (1-g1)*h1 in the faster layer, feeds g1*h2
+    down to it and carries (1-g2)*h2 in the slower layer; `numerics.biscale`
+    forms those products from these four."""
 
     h1: Tensor
     h2: Tensor
     g1: Tensor
     g2: Tensor
-    cand: Tensor
-    h1_carried: Tensor
-    h2_feedback: Tensor
-    h2_carried: Tensor
 
 
 def _output_log_probs(store, parts, targets=None):
@@ -302,10 +297,7 @@ class _BiScaleDecoder(_Decoder):
     def initial_state(self, store, ctx):
         h2 = tanh(affine(ctx.backward_head, store["dec_init.W"], store["dec_init.b"]))
         zero = _zeros(h2.shape, store)
-        return BiScaleState(
-            h1=zero, h2=h2, g1=zero, g2=zero, cand=zero,
-            h1_carried=zero, h2_feedback=zero, h2_carried=h2,
-        )
+        return BiScaleState(h1=zero, h2=h2, g1=zero, g2=zero)
 
     def step(self, store, y_emb, state, c):
         """Two-timescale update.
@@ -317,7 +309,7 @@ class _BiScaleDecoder(_Decoder):
         itself).
         """
         return BiScaleState(*biscale(
-            y_emb, state.h1_carried, state.h2_feedback, state.h2, state.h2_carried, c,
+            y_emb, state.h1, state.g1, state.h2, state.g2, c,
             *(store[f"bi.{kind}_{name}"] for name in ("h1", "g1", "h2", "g2") for kind in "Wb")))
 
     def output_parts(self, state):

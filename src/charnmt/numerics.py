@@ -340,54 +340,57 @@ def gru(x: Tensor, h: Tensor, W_r: Tensor, W_u: Tensor, W_c: Tensor,
     return _record("gru", (x, h, W_r, W_u, W_c, U_r, U_u, U_c, b_r, b_u, b_c), y, grad)
 
 
-def biscale(y_emb: Tensor, h1_carried: Tensor, h2_feedback: Tensor, h2: Tensor,
-            h2_carried: Tensor, c: Tensor, W_h1: Tensor, b_h1: Tensor, W_g1: Tensor,
-            b_g1: Tensor, W_h2: Tensor, b_h2: Tensor, W_g2: Tensor, b_g2: Tensor):
+def biscale(y_emb: Tensor, h1: Tensor, g1: Tensor, h2: Tensor, g2: Tensor, c: Tensor,
+            W_h1: Tensor, b_h1: Tensor, W_g1: Tensor, b_g1: Tensor,
+            W_h2: Tensor, b_h2: Tensor, W_g2: Tensor, b_g2: Tensor):
     """One step of the bi-scale decoder recorded as a single tape node.
 
-        ins1 = [y_emb; h1_carried; h2_feedback; c]
-        h1 = tanh(ins1 W_h1 + b_h1)             g1 = sigmoid(ins1 W_g1 + b_g1)
-        ins2 = [g1 * h1; h2_carried; c]
-        cand = tanh(ins2 W_h2 + b_h2)           g2 = sigmoid(ins2 W_g2 + b_g2)
-        h2' = (1 - g1) * h2 + g1 * cand
+    From the previous step's faster and slower states h1, h2 and gates g1, g2:
 
-    Every input is (B, width), every state (B, d). Returns the tuple (h1,
-    h2', g1, g2, cand, (1 - g1) * h1, g1 * h2', (1 - g2) * h2'). A closed
-    gate g1 == 0 returns h2 bit-for-bit.
+        ins1 = [y_emb; (1 - g1) * h1; g1 * h2; c]
+        h1' = tanh(ins1 W_h1 + b_h1)            g1' = sigmoid(ins1 W_g1 + b_g1)
+        ins2 = [g1' * h1'; (1 - g2) * h2; c]
+        cand = tanh(ins2 W_h2 + b_h2)           g2' = sigmoid(ins2 W_g2 + b_g2)
+        h2' = (1 - g1') * h2 + g1' * cand
+
+    Every input is (B, width), every state and gate (B, d). Returns the
+    tuple (h1', h2', g1', g2'). A closed gate g1' == 0 returns h2
+    bit-for-bit.
     """
-    ins1 = np.concatenate([y_emb.data, h1_carried.data, h2_feedback.data, c.data], axis=1)
+    h1d, g1d, h2d, g2d = h1.data, g1.data, h2.data, g2.data
+    keep1_prev, keep2_prev = 1.0 - g1d, 1.0 - g2d
+    ins1 = np.concatenate([y_emb.data, keep1_prev * h1d, g1d * h2d, c.data], axis=1)
     d, n1, n2 = h2.shape[1], ins1.shape[1], 2 * h2.shape[1] + c.shape[1]
     _conform("biscale", f"inputs of widths {n1} and {n2} and state width {d}",
              (W_h1, (n1, d)), (W_g1, (n1, d)), (W_h2, (n2, d)), (W_g2, (n2, d)),
              (b_h1, (d,)), (b_g1, (d,)), (b_h2, (d,)), (b_g2, (d,)))
-    h1 = np.tanh(ins1 @ W_h1.data + b_h1.data)
-    g1 = _sigmoid(ins1 @ W_g1.data + b_g1.data)
-    ins2 = np.concatenate([g1 * h1, h2_carried.data, c.data], axis=1)
+    h1_new = np.tanh(ins1 @ W_h1.data + b_h1.data)
+    g1_new = _sigmoid(ins1 @ W_g1.data + b_g1.data)
+    ins2 = np.concatenate([g1_new * h1_new, keep2_prev * h2d, c.data], axis=1)
     cand = np.tanh(ins2 @ W_h2.data + b_h2.data)
-    g2 = _sigmoid(ins2 @ W_g2.data + b_g2.data)
-    keep1, keep2 = 1.0 - g1, 1.0 - g2
-    h2_new = keep1 * h2.data + g1 * cand
+    g2_new = _sigmoid(ins2 @ W_g2.data + b_g2.data)
+    keep1 = 1.0 - g1_new
+    h2_new = keep1 * h2d + g1_new * cand
 
     def grad(dys):
-        dh1, dh2, dg1, dg2, dcand, dh1c, dh2f, dh2c = (0.0 if g is None else g for g in dys)
-        dh2 = dh2 + dh2c * keep2 + dh2f * g1
-        dg1 = dg1 + dh2f * h2_new - dh1c * h1 + dh2 * (cand - h2.data)
-        da_g2 = (dg2 - dh2c * h2_new) * g2 * keep2
-        da_c = (dcand + dh2 * g1) * (1.0 - cand * cand)
-        dreset, dh2c_in, dc2 = _split(da_c @ W_h2.data.T + da_g2 @ W_g2.data.T,
-                                      (h2, h2_carried, c))
-        da_g1 = (dg1 + dreset * h1) * g1 * keep1
-        da_h1 = (dh1 + dh1c * keep1 + dreset * g1) * (1.0 - h1 * h1)
-        dy_emb, dh1c_in, dh2f_in, dc1 = _split(da_h1 @ W_h1.data.T + da_g1 @ W_g1.data.T,
-                                               (y_emb, h1_carried, h2_feedback, c))
+        dh1, dh2, dg1, dg2 = (0.0 if g is None else g for g in dys)
+        dg1 = dg1 + dh2 * (cand - h2d)
+        da_g2 = dg2 * g2_new * (1.0 - g2_new)
+        da_c = dh2 * g1_new * (1.0 - cand * cand)
+        dreset, dh2c, dc2 = _split(da_c @ W_h2.data.T + da_g2 @ W_g2.data.T, (h1, h2, c))
+        da_g1 = (dg1 + dreset * h1_new) * g1_new * keep1
+        da_h1 = (dh1 + dreset * g1_new) * (1.0 - h1_new * h1_new)
+        dy_emb, dh1c, dh2f, dc1 = _split(da_h1 @ W_h1.data.T + da_g1 @ W_g1.data.T,
+                                         (y_emb, h1, h2, c))
         i1T, i2T = ins1.T, ins2.T
-        return (dy_emb, dh1c_in, dh2f_in, dh2 * keep1, dh2c_in, dc1 + dc2,
+        return (dy_emb, dh1c * keep1_prev, dh2f * h2d - dh1c * h1d,
+                dh2 * keep1 + dh2f * g1d + dh2c * keep2_prev, -dh2c * h2d, dc1 + dc2,
                 i1T @ da_h1, da_h1.sum(axis=0), i1T @ da_g1, da_g1.sum(axis=0),
                 i2T @ da_c, da_c.sum(axis=0), i2T @ da_g2, da_g2.sum(axis=0))
 
-    return _record("biscale", (y_emb, h1_carried, h2_feedback, h2, h2_carried, c,
+    return _record("biscale", (y_emb, h1, g1, h2, g2, c,
                                W_h1, b_h1, W_g1, b_g1, W_h2, b_h2, W_g2, b_g2),
-                   (h1, h2_new, g1, g2, cand, keep1 * h1, g1 * h2_new, keep2 * h2_new), grad)
+                   (h1_new, h2_new, g1_new, g2_new), grad)
 
 
 def attention(y_emb: Tensor, query: Tensor, keys: Tensor, annotations: Tensor, mask,

@@ -221,19 +221,14 @@ def composite_attend(store, y_emb, query, ctx):
 def composite_biscale_step(store, y_emb, state, c):
     """The bi-scale decoder step from single operations: the oracle of
     `numerics.biscale`."""
-    ins1 = concat([y_emb, state.h1_carried, state.h2_feedback, c])
+    ins1 = concat([y_emb, mul(one_minus(state.g1), state.h1), mul(state.g1, state.h2), c])
     h1 = tanh(affine(ins1, store["bi.W_h1"], store["bi.b_h1"]))
     g1 = sigmoid(affine(ins1, store["bi.W_g1"], store["bi.b_g1"]))
-    ins2 = concat([mul(g1, h1), state.h2_carried, c])
+    ins2 = concat([mul(g1, h1), mul(one_minus(state.g2), state.h2), c])
     cand = tanh(affine(ins2, store["bi.W_h2"], store["bi.b_h2"]))
     h2 = add(mul(one_minus(g1), state.h2), mul(g1, cand))
     g2 = sigmoid(affine(ins2, store["bi.W_g2"], store["bi.b_g2"]))
-    return BiScaleState(
-        h1=h1, h2=h2, g1=g1, g2=g2, cand=cand,
-        h1_carried=mul(one_minus(g1), h1),
-        h2_feedback=mul(g1, h2),
-        h2_carried=mul(one_minus(g2), h2),
-    )
+    return BiScaleState(h1=h1, h2=h2, g1=g1, g2=g2)
 
 
 def composite_output_log_probs(store, parts, targets=None):
@@ -372,10 +367,7 @@ def reference_beam_search(models, source, width: int, max_len: int,
             toks = live_tokens[h] + [tok]
             als = live_aligns[h] + [alpha[h].copy()]
             if tok == EOS_ID:
-                pool.append(Hypothesis(
-                    tokens=toks, score=score,
-                    alignments=als, finished=True,
-                ))
+                pool.append(Hypothesis(tokens=toks, score=score, alignments=als))
             else:
                 keep_rows.append(h)
                 keep_tokens.append(toks)
@@ -404,7 +396,7 @@ def reference_beam_search(models, source, width: int, max_len: int,
                 tokens=live_tokens[i] + [EOS_ID],
                 score=float(live_scores[i] + avg[i, EOS_ID]),
                 alignments=live_aligns[i] + [alpha[i].copy()],
-                finished=True, truncated=True,
+                truncated=True,
             ))
 
     rank = (lambda h: h.score / len(h.tokens)) if length_normalize else (lambda h: h.score)

@@ -8,6 +8,7 @@ criteria train real models and therefore dominate the suite's runtime.
 import math
 import subprocess
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +18,7 @@ import pytest
 from charnmt.decode import beam_search, greedy_decode, hypothesis_text
 from charnmt.metrics import System, bleu, word_nll_by_frequency
 from charnmt.model import Model, ModelConfig, init_params, sequence_log_prob
-from charnmt.numerics import Graph, backward
+from charnmt.numerics import Graph, Tensor, backward
 from charnmt.synth import copy_corpus, split_pairs, transliteration_corpus
 from charnmt.textpipe import (
     EOS_ID,
@@ -168,22 +169,31 @@ def test_02_biscale_gate_laws():
         m.store.assign("bi.b_g1", np.full_like(m.store["bi.b_g1"].data, bias))
         ctx = m.encode(source)
         state = m.initial_state(ctx)
-        states = []
+        steps = []
         for t in tokens:
-            _, state, _ = m.step_log_probs(np.array([t]), state, ctx)
-            states.append(state)
-        return states
+            step = m.step_log_probs(np.array([t]), state, ctx)
+            steps.append(step)
+            state = step[1]
+        return ctx, steps
 
-    frozen = run_with_gate(-1000.0)  # gate exactly 0: slower layer never moves
-    h2_first = frozen[0].h2.data
-    constant = all(np.array_equal(s.h2.data, h2_first) for s in frozen)
-    flushed = run_with_gate(1000.0)  # gate exactly 1: carried h1 exactly zero
-    zeroed = all(np.all(s.h1_carried.data == 0.0) for s in flushed)
+    def outputs(step):
+        logp, state, alpha = step
+        return [logp, alpha, *(getattr(state, f.name) for f in fields(state))]
+
+    _, frozen = run_with_gate(-1000.0)  # gate exactly 0: slower layer never moves
+    h2_first = frozen[0][1].h2.data
+    constant = all(np.array_equal(s.h2.data, h2_first) for _, s, _ in frozen)
+    ctx, flushed = run_with_gate(1000.0)  # gate exactly 1: the next step forgets h1
+    forgets = True
+    for (_, state, _), t in zip(flushed, tokens[1:]):
+        nudged = replace(state, h1=Tensor(state.h1.data + 1.0))
+        a, b = (outputs(m.step_log_probs(np.array([t]), s, ctx)) for s in (state, nudged))
+        forgets &= all(np.array_equal(x.data, y.data) for x, y in zip(a, b))
     report(
         "bi-scale gate laws",
-        constant and zeroed,
+        constant and forgets,
         f"h2 constant over {len(frozen)} steps with gate 0: {constant}; "
-        f"carried h1 exactly zero with gate 1: {zeroed}",
+        f"next step blind to h1 with gate 1: {forgets}",
     )
 
 

@@ -1,5 +1,7 @@
 """Model tests: encoder, attention, both decoders, output layer, scoring."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,8 @@ from charnmt.numerics import (
 from charnmt.textpipe import BOS_ID, EOS_ID
 
 from conftest import (
-    add, assert_arrays_close, composite_gru_cell, forced_log_probs, mul_const, random_source,
+    add, assert_arrays_close, composite_biscale_step, composite_gru_cell, forced_log_probs,
+    mul_const, random_source,
 )
 from fdcheck import assert_grads_close, finite_difference_grads
 
@@ -322,6 +325,10 @@ def _force_gate(store, name, value):
     store.assign(f"bi.b_{name}", np.full_like(store[f"bi.b_{name}"].data, value))
 
 
+def _arrays(state):
+    return [getattr(state, f.name).data for f in fields(state)]
+
+
 class TestBiscaleStep:
     def _setup(self, seed):
         m = tiny_model(seed, decoder="biscale")
@@ -342,32 +349,35 @@ class TestBiscaleStep:
         m, ctx, state = self._setup(17)
         _force_gate(m.store, "g1", 1000.0)
         c = tensor(np.ones((1, 10)), "wide")
+        w = lambda name: m.store[f"bi.{name}"].data
         for tok in (BOS_ID, 5, 6):
-            state = decoder_step(m, [tok], state, c)
+            prev, state = state, decoder_step(m, [tok], state, c)
             assert np.all(state.g1.data == 1.0)
-            assert np.all(state.h1_carried.data == 0.0)
-            assert np.array_equal(state.h2.data, state.cand.data)
+            # the faster layer resets: the next step never reads its h1
+            nudged = replace(state, h1=tensor(state.h1.data + 0.5, "wide"))
+            after, after_nudged = (_arrays(decoder_step(m, [7], s, c)) for s in (state, nudged))
+            assert all(map(np.array_equal, after, after_nudged))
+            # the slower layer takes the candidate of this step's inputs whole
+            ins2 = np.concatenate([state.h1.data, (1.0 - prev.g2.data) * prev.h2.data, c.data],
+                                  axis=1)
+            assert np.array_equal(state.h2.data, np.tanh(ins2 @ w("W_h2") + w("b_h2")))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_state_identities_and_gate_range(self, seed):
+        """Each step forms (1-g1)*h1, g1*h2 and (1-g2)*h2 from the previous
+        state as the composite oracle spells them out, and both gates stay
+        strictly inside (0, 1)."""
         m, ctx, state = self._setup(seed)
         rng = np.random.default_rng(seed)
         for _ in range(4):
             c = tensor(rng.normal(size=(1, 10)), "wide")
-            tok = int(rng.integers(0, 9))
-            state = decoder_step(m, [tok], state, c)
+            y_emb = embed(m.store["tgt_emb"], [int(rng.integers(0, 9))])
+            want = composite_biscale_step(m.store, y_emb, state, c)
+            state = m.decoder.step(m.store, y_emb, state, c)
             assert np.all((state.g1.data > 0.0) & (state.g1.data < 1.0))
             assert np.all((state.g2.data > 0.0) & (state.g2.data < 1.0))
-            np.testing.assert_allclose(
-                state.h1_carried.data + state.g1.data * state.h1.data,
-                state.h1.data, atol=1e-6,
-            )
-            np.testing.assert_allclose(
-                state.h2_feedback.data, state.g1.data * state.h2.data, atol=1e-6
-            )
-            np.testing.assert_allclose(
-                state.h2_carried.data, (1 - state.g2.data) * state.h2.data, atol=1e-6
-            )
+            for got, ref in zip(_arrays(state), _arrays(want)):
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_widths_shared(self):
         m, ctx, state = self._setup(18)

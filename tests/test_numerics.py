@@ -220,14 +220,14 @@ def _primitive_cases():
          lambda s: nm.gru(*(s[name] for name in gru_inputs), mask=gru_mask))
 
     # bi-scale step: y_emb 3, context 4, states 5 wide, batch 2
-    bi_inputs = {"y": _rand(rng, 2, 3), "h1c": _rand(rng, 2, 5), "h2f": _rand(rng, 2, 5),
-                 "h2": _rand(rng, 2, 5), "h2c": _rand(rng, 2, 5), "c": _rand(rng, 2, 4)}
+    bi_inputs = {"y": _rand(rng, 2, 3), "h1": _rand(rng, 2, 5), "g1": _rand(rng, 2, 5),
+                 "h2": _rand(rng, 2, 5), "g2": _rand(rng, 2, 5), "c": _rand(rng, 2, 4)}
     for name, d_in in (("h1", 17), ("g1", 17), ("h2", 14), ("g2", 14)):
         bi_inputs[f"W_{name}"] = _rand(rng, d_in, 5)
         bi_inputs[f"b_{name}"] = _rand(rng, 5)
     bi = lambda s: nm.biscale(*(s[name] for name in bi_inputs))
     case("biscale", bi_inputs, bi)
-    case("biscale_h2_carried_only", bi_inputs, lambda s: bi(s)[7])
+    case("biscale_h2_only", bi_inputs, lambda s: bi(s)[1])
     case("biscale_gates_only", bi_inputs, lambda s: bi(s)[2:4])
 
     # attention: batch 2, 4 source positions (one padded), D 3, A 5
