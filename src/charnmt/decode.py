@@ -49,11 +49,8 @@ class Hypothesis:
 
     tokens: list[int]  # emitted target ids; a search ends each with EOS
     score: float  # sum of the chosen per-step log-probabilities
-    alignments: list[np.ndarray]  # one source-weight row per emitted token
+    alignments: np.ndarray  # (len(tokens), T_x): one source-weight row per emitted token
     truncated: bool = False
-
-    def alignment_matrix(self) -> np.ndarray:
-        return np.stack(self.alignments) if self.alignments else np.zeros((0, 0))
 
 
 def ensemble_log_probs(logps) -> np.ndarray:
@@ -119,8 +116,8 @@ def _encode_batch(models, source, max_len, lengths):
     if caps.min() < 1:
         raise ConfigError(f"max_len must be positive, got {caps.min()}")
     lengths = np.full(S, T) if lengths is None else np.asarray(lengths)
-    ctxs = [m.encode(source, lengths) for m in models]
-    return caps, lengths, ctxs, [m.initial_state(ctx) for m, ctx in zip(models, ctxs)]
+    ctxs, states = zip(*(m.encode(source, lengths) for m in models))
+    return caps, lengths, ctxs, list(states)
 
 
 def greedy_decode(models, source, lengths=None, max_len=100) -> list[Hypothesis]:
@@ -145,7 +142,7 @@ def greedy_decode(models, source, lengths=None, max_len=100) -> list[Hypothesis]
         pick = np.where(closing, EOS_ID, avg.argmax(axis=1))
         score = score + avg[np.arange(len(sent)), pick]
         done, stay = np.nonzero(pick == EOS_ID)[0], np.nonzero(pick != EOS_ID)[0]
-        pool.append((sent[done], score[done], done, t, closing[done]))
+        pool.append((sent[done], score[done], done, np.full(len(done), t), closing[done]))
         parents.append(stay)
         tokens.append(pick[stay])
         states = [_take_rows(s, stay) for s in stepped]
@@ -204,7 +201,8 @@ def beam_search(models, source, width: int, max_len, lengths=None,
 
         closing = caps[sent] == t
         shut = np.nonzero(closing[row_act])[0]
-        pool.append((sent[row_act[shut]], row_score[shut] + avg[shut, EOS_ID], shut, t, True))
+        pool.append((sent[row_act[shut]], row_score[shut] + avg[shut, EOS_ID], shut,
+                     np.full(len(shut), t), np.ones(len(shut), dtype=bool)))
 
         grid = np.full((A, V, width), -np.inf)
         grid[row_act, :, row_slot] = row_score[:, None] + avg
@@ -219,7 +217,8 @@ def beam_search(models, source, width: int, max_len, lengths=None,
         score = np.take_along_axis(grid, order, axis=1)
         picked = valid & ~closing[:, None]
         a, j = np.nonzero(picked & (tok == EOS_ID))
-        pool.append((sent[a], score[a, j], offset[a] + slot[a, j], t, False))
+        pool.append((sent[a], score[a, j], offset[a] + slot[a, j], np.full(len(a), t),
+                     np.zeros(len(a), dtype=bool)))
         np.maximum.at(best, a, score[a, j])
 
         keep = picked & (tok != EOS_ID)
@@ -243,8 +242,7 @@ def beam_search(models, source, width: int, max_len, lengths=None,
 
 def _read_pools(S, lengths, pool, alphas, parents, tokens, length_normalize):
     """Follow every completed hypothesis's back-pointers and rank each pool."""
-    sent, score, row, step, truncated = (
-        np.concatenate([np.broadcast_to(p[k], p[0].shape) for p in pool]) for k in range(5))
+    sent, score, row, step, truncated = map(np.concatenate, zip(*pool))
     size = step + 1
     toks = np.full((len(row), size.max()), EOS_ID)
     aligns = np.zeros((len(row), size.max(), alphas[0].shape[1]), dtype=alphas[0].dtype)
@@ -259,7 +257,7 @@ def _read_pools(S, lengths, pool, alphas, parents, tokens, length_normalize):
     for e in np.lexsort((-key, sent)):
         pools[sent[e]].append(Hypothesis(
             tokens=toks[e, :size[e]].tolist(), score=float(score[e]),
-            alignments=list(aligns[e, :size[e], :lengths[sent[e]]].copy()),
+            alignments=aligns[e, :size[e], :lengths[sent[e]]].copy(),
             truncated=bool(truncated[e])))
     return pools
 
@@ -331,5 +329,5 @@ def alignment_blocks(result: TranslationResult, tgt_vocab: Vocabulary) -> str:
     blocks = []
     for hyp, src_syms in zip(result.hypotheses, result.source_symbols):
         tgt_syms = [tgt_vocab.symbols[t] for t in hyp.tokens]
-        blocks.append(format_alignment_block(src_syms, tgt_syms, hyp.alignment_matrix()))
+        blocks.append(format_alignment_block(src_syms, tgt_syms, hyp.alignments))
     return "\n\n".join(blocks) + ("\n" if blocks else "")

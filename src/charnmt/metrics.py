@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractError, CorpusError
 from .model import Model, sequence_log_prob
-from .textpipe import EOS_ID, MergeTable, Vocabulary, apply_bpe, split_word
+from .textpipe import EOS_ID, MergeTable, Vocabulary, apply_bpe
 
 
 @dataclass
@@ -140,13 +140,11 @@ def _target_word_spans(line: str, unit: str, vocab: Vocabulary, merges):
     it, or EOS for the final word).
     """
     if unit == "subword":
-        symbols, spans, pos = [], [], 0
+        symbols, spans = [], []
         for word in line.split():
-            pieces = split_word(word, merges)
-            marked = [p + merges.marker for p in pieces[:-1]] + [pieces[-1]]
-            spans.append((word, pos, pos + len(pieces)))
-            symbols += marked
-            pos += len(pieces)
+            pieces = apply_bpe([word], merges)
+            spans.append((word, len(symbols), len(symbols) + len(pieces)))
+            symbols += pieces
         return np.array(vocab.encode(symbols) + [EOS_ID]), spans
 
     symbols = list(line)

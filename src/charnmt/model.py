@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError, ContractError, VocabularyError
+from .errors import ConfigError, ConsistencyError, ContractError
 from .textpipe import BOS_ID
 from .numerics import (
     PRECISIONS,
@@ -39,7 +39,6 @@ from .numerics import (
     tensor,
 )
 
-DECODER_KINDS = ("base", "biscale")
 QUERY_MODES = ("slower", "faster", "both")
 DEFAULT_QUERY = {"base": "both", "biscale": "slower"}
 
@@ -57,7 +56,7 @@ class ModelConfig:
     precision: str = "narrow"
 
     def __post_init__(self):
-        if self.decoder not in DECODER_KINDS:
+        if self.decoder not in DECODERS:
             raise ConfigError(f"unknown decoder kind {self.decoder!r}")
         if self.attention_query is None:
             self.attention_query = DEFAULT_QUERY[self.decoder]
@@ -154,15 +153,6 @@ def init_params(config: ModelConfig, seed: int) -> ParameterStore:
     return store
 
 
-def _check_ids(ids, size, side):
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= size):
-        raise VocabularyError(
-            f"{side} index out of range: found {int(ids.min())}..{int(ids.max())}, "
-            f"vocabulary size {size}"
-        )
-
-
 def _zeros(shape, store):
     return tensor(np.zeros(shape), store.precision)
 
@@ -183,15 +173,16 @@ class ContextSet:
     annotations: Tensor  # (B, T_x, 2*d_enc)
     keys: Tensor  # (B, T_x, d_att)
     mask: np.ndarray  # (B, T_x), 1.0 at real positions
-    backward_head: Tensor  # (B, d_enc): backward state at the first position
 
     @property
     def max_len(self) -> int:
         return self.annotations.shape[1]
 
 
-def encode(store: ParameterStore, config: ModelConfig, source, lengths=None) -> ContextSet:
-    """Run both encoder directions over a (B, T_x) index matrix.
+def encode(store: ParameterStore, config: ModelConfig, source, lengths=None):
+    """Run both encoder directions over a (B, T_x) index matrix. Returns
+    the ContextSet and the backward state at the first position (B, d_enc),
+    which the decoder's initial state reads.
 
     Positions at or past a row's length are padding: they advance neither
     direction's state and are masked out of later alignment weights.
@@ -202,7 +193,6 @@ def encode(store: ParameterStore, config: ModelConfig, source, lengths=None) -> 
     B, T = source.shape
     if T < 1:
         raise ContractError("encode: empty source")
-    _check_ids(source, config.src_vocab_size, "source")
     lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(float)
 
@@ -215,26 +205,21 @@ def encode(store: ParameterStore, config: ModelConfig, source, lengths=None) -> 
         return stack_time(states), h
 
     fw, _ = masked_chain("enc_fw", range(T))
-    bw, backward_head = masked_chain("enc_bw", range(T - 1, -1, -1))
+    bw, head = masked_chain("enc_bw", range(T - 1, -1, -1))
     annotations = concat([fw, bw])
     keys = linear(annotations, store["att.W_key"])
-    return ContextSet(annotations, keys, mask, backward_head)
+    return ContextSet(annotations, keys, mask), head
 
 
-@dataclass
-class AttentionOutput:
-    context: Tensor  # (B, 2*d_enc)
-    alpha: Tensor  # (B, T_x), rows sum to 1 over real positions
-
-
-def attend(store: ParameterStore, y_emb: Tensor, query: Tensor, ctx: ContextSet) -> AttentionOutput:
+def attend(store: ParameterStore, y_emb: Tensor, query: Tensor, ctx: ContextSet):
     """Score every source annotation against (prev-symbol embedding, query
-    state), softmax into alignment weights, and mix the annotations."""
+    state), softmax into alignment weights, and mix the annotations.
+    Returns (context (B, 2*d_enc), alpha (B, T_x)); alpha's rows sum to 1
+    over real positions."""
     if ctx.max_len == 0:
         raise ContractError("attend: empty context set")
-    return AttentionOutput(*attention(
-        y_emb, query, ctx.keys, ctx.annotations, ctx.mask,
-        *(store[f"att.{name}"] for name in ("W_emb", "W_query", "b", "v"))))
+    return attention(y_emb, query, ctx.keys, ctx.annotations, ctx.mask,
+                     *(store[f"att.{name}"] for name in ("W_emb", "W_query", "b", "v")))
 
 
 @dataclass
@@ -275,10 +260,8 @@ class _Decoder:
 
 
 class _BaseDecoder(_Decoder):
-    kind = "base"
-
-    def initial_state(self, store, ctx):
-        h1 = tanh(affine(ctx.backward_head, store["dec_init.W"], store["dec_init.b"]))
+    def initial_state(self, store, head):
+        h1 = tanh(affine(head, store["dec_init.W"], store["dec_init.b"]))
         return BaseDecoderState(h1=h1, h2=_zeros(h1.shape, store))
 
     def step(self, store, y_emb, state, c):
@@ -292,10 +275,8 @@ class _BaseDecoder(_Decoder):
 
 
 class _BiScaleDecoder(_Decoder):
-    kind = "biscale"
-
-    def initial_state(self, store, ctx):
-        h2 = tanh(affine(ctx.backward_head, store["dec_init.W"], store["dec_init.b"]))
+    def initial_state(self, store, head):
+        h2 = tanh(affine(head, store["dec_init.W"], store["dec_init.b"]))
         zero = _zeros(h2.shape, store)
         return BiScaleState(h1=zero, h2=h2, g1=zero, g2=zero)
 
@@ -316,11 +297,7 @@ class _BiScaleDecoder(_Decoder):
         return [state.h1, state.h2]
 
 
-def make_decoder(kind: str):
-    for cls in (_BaseDecoder, _BiScaleDecoder):
-        if cls.kind == kind:
-            return cls()
-    raise ConfigError(f"unknown decoder kind {kind!r}")
+DECODERS = {"base": _BaseDecoder, "biscale": _BiScaleDecoder}
 
 
 @dataclass
@@ -337,23 +314,22 @@ class Model:
                 f"config precision {self.config.precision!r} != "
                 f"store precision {self.store.precision!r}"
             )
-        self.decoder = make_decoder(self.config.decoder)
+        self.decoder = DECODERS[self.config.decoder]()
 
-    def encode(self, source, lengths=None) -> ContextSet:
-        return encode(self.store, self.config, source, lengths)
-
-    def initial_state(self, ctx: ContextSet):
-        return self.decoder.initial_state(self.store, ctx)
+    def encode(self, source, lengths=None):
+        """(ContextSet, initial decoder state) of a (B, T_x) source batch."""
+        ctx, head = encode(self.store, self.config, source, lengths)
+        return ctx, self.decoder.initial_state(self.store, head)
 
     def advance(self, y_prev, state, ctx: ContextSet):
         """One target position's recurrence: attend with the previous state
         as query, step the decoder on the resulting context. Returns
         (output-layer inputs, new state, alignment row Tensor (B, T_x))."""
-        _check_ids(y_prev, self.config.tgt_vocab_size, "target")
-        y_emb = embed(self.store["tgt_emb"], np.asarray(y_prev))
-        att = attend(self.store, y_emb, self.decoder.query(state, self.config.attention_query), ctx)
-        new_state = self.decoder.step(self.store, y_emb, state, att.context)
-        return [y_emb, *self.decoder.output_parts(new_state), att.context], new_state, att.alpha
+        y_emb = embed(self.store["tgt_emb"], y_prev)
+        context, alpha = attend(self.store, y_emb,
+                                self.decoder.query(state, self.config.attention_query), ctx)
+        new_state = self.decoder.step(self.store, y_emb, state, context)
+        return [y_emb, *self.decoder.output_parts(new_state), context], new_state, alpha
 
     def step_log_probs(self, y_prev, state, ctx: ContextSet):
         """Advance one target position and score the next symbol. Returns
@@ -379,15 +355,14 @@ def label_log_probs(model: Model, source, src_lengths, target, target_lengths):
     """
     order = np.argsort(-np.asarray(target_lengths), kind="stable")
     target, lengths = np.asarray(target)[order], np.asarray(target_lengths)[order]
-    ctx = model.encode(np.asarray(source)[order], np.asarray(src_lengths)[order])
-    state = model.initial_state(ctx)
+    ctx, state = model.encode(np.asarray(source)[order], np.asarray(src_lengths)[order])
     steps, labels, alphas = [], [], []
     for t in range(target.shape[1] - 1):
         live = int(np.count_nonzero(lengths > t + 1))
         if live < len(ctx.mask):
             cut = take_rows([ctx.annotations, ctx.keys,
                              *(getattr(state, f.name) for f in fields(state))], live)
-            ctx = ContextSet(cut[0], cut[1], ctx.mask[:live], ctx.backward_head)
+            ctx = ContextSet(cut[0], cut[1], ctx.mask[:live])
             state = type(state)(*cut[2:])
         parts, state, alpha = model.advance(target[:live, t], state, ctx)
         steps.append(parts)

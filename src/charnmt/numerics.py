@@ -29,6 +29,7 @@ from .errors import (
     ConfigError,
     ContractError,
     DimensionError,
+    VocabularyError,
 )
 
 PRECISIONS = {"wide": np.float64, "narrow": np.float32}
@@ -212,12 +213,12 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def embed(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Rows of an embedding table selected by integer ids."""
+    """Rows of an embedding table selected by integer ids; an id outside
+    the table raises VocabularyError."""
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise DimensionError(
-            f"embed: ids outside [0, {table.shape[0]}) (found {int(ids.min())}..{int(ids.max())})"
-        )
+        raise VocabularyError(f"index out of range: found {int(ids.min())}..{int(ids.max())}, "
+                              f"vocabulary size {table.shape[0]}")
     y = table.data[ids]
 
     def grad(dy):

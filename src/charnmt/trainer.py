@@ -6,10 +6,12 @@ clip -> bias-corrected Adam step. A non-finite loss or gradient norm stops
 the run before the step touches the parameters. Every validation interval
 the current parameters are scored on the dev set (mean NLL plus
 greedy-decode BLEU); the best-by-dev-NLL checkpoint is kept alongside the
-latest. Epoch e trains on the length-bucketed batches `make_batches` cuts
-with seed + e, so a resumed run sees the identical batch sequence. A step's
-log line reaches the disk before any checkpoint of it, so a run killed at
-any instant and resumed in place leaves the log of an uninterrupted run.
+latest. `best` holds the parameters alone, for inference; only `latest`
+carries the Adam moments a resume needs. Epoch e trains on the
+length-bucketed batches `make_batches` cuts with seed + e, so a resumed run
+sees the identical batch sequence. A step's log line reaches the disk before
+any checkpoint of it, so a run killed at any instant and resumed in place
+leaves the log of an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -366,12 +368,13 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
     files = {"src_vocab": paths.src_vocab, "tgt_vocab": paths.tgt_vocab,
              "merges": paths.merges}
 
-    def save(directory, position):
+    def save(directory, position, moments=True):
         log.flush()
         os.fsync(log.fileno())
         tensors = {name: t.data for name, t in store.items()}
-        tensors.update({f"adam.m.{k}": v for k, v in opt.m.items()})
-        tensors.update({f"adam.v.{k}": v for k, v in opt.v.items()})
+        if moments:
+            tensors.update({f"adam.m.{k}": v for k, v in opt.m.items()})
+            tensors.update({f"adam.v.{k}": v for k, v in opt.v.items()})
         state = {"step": opt.step, "epoch": position[0], "batch": position[1]}
         if math.isfinite(best_nll):
             state["best_dev_nll"] = best_nll
@@ -420,7 +423,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
             if dev_nll is not None:
                 if dev_nll < best_nll:
                     best_nll = dev_nll
-                    save(best_dir, position)
+                    save(best_dir, position, moments=False)
                 save(latest_dir, position)
             if echo is not None:
                 echo(line)

@@ -11,7 +11,7 @@ import charnmt.model as model_mod
 from charnmt.decode import Hypothesis, _check_ensemble, ensemble_log_probs
 from charnmt.errors import ConfigError, DimensionError, DomainError
 from charnmt.model import (
-    AttentionOutput, BiScaleState, ContextSet, Model, ModelConfig, _output_log_probs, init_params,
+    BiScaleState, ContextSet, Model, ModelConfig, _output_log_probs, init_params,
 )
 from charnmt.numerics import Tensor, _record, _sigmoid, affine, concat, linear, stack_time, tanh
 from charnmt.textpipe import BOS_ID, EOS_ID
@@ -215,7 +215,7 @@ def composite_attend(store, y_emb, query, ctx):
     hidden = tanh(add(ctx.keys, reshape(step_part, (B, 1, step_part.shape[-1]))))
     scores = reshape(linear(hidden, store["att.v"]), (B, ctx.max_len))
     alpha = softmax(scores, mask=ctx.mask)
-    return AttentionOutput(context=attn_mix(alpha, ctx.annotations), alpha=alpha)
+    return attn_mix(alpha, ctx.annotations), alpha
 
 
 def composite_biscale_step(store, y_emb, state, c):
@@ -262,8 +262,7 @@ def forced_log_probs(model: Model, source, src_lengths, target):
     j scores target[:, j+1] — and the list of T-1 alignment Tensors.
     """
     target = np.asarray(target)
-    ctx = model.encode(source, src_lengths)
-    state = model.initial_state(ctx)
+    ctx, state = model.encode(source, src_lengths)
     steps, alphas = [], []
     for t in range(target.shape[1] - 1):
         parts, state, alpha = model.advance(target[:, t], state, ctx)
@@ -296,7 +295,6 @@ def _tile_ctx(ctx: ContextSet, n: int) -> ContextSet:
         annotations=Tensor(rep(ctx.annotations.data)),
         keys=Tensor(rep(ctx.keys.data)),
         mask=rep(ctx.mask),
-        backward_head=Tensor(rep(ctx.backward_head.data)),
     )
 
 
@@ -335,10 +333,9 @@ def reference_beam_search(models, source, width: int, max_len: int,
     if source.ndim == 1:
         source = source[None, :]
     V = models[0].config.tgt_vocab_size
-    ctxs = [m.encode(source) for m in models]
-    states = [m.initial_state(ctx) for m, ctx in zip(models, ctxs)]
+    ctxs, states = map(list, zip(*(m.encode(source) for m in models)))
     live_tokens: list[list[int]] = [[]]
-    live_aligns: list[list[np.ndarray]] = [[]]
+    live_aligns = [np.zeros((0, source.shape[1]), dtype=models[0].store.dtype)]
     live_scores = np.zeros(1)
     pool: list[Hypothesis] = []
     chain = 0  # live row tracing the greedy path; None once it retires
@@ -365,7 +362,7 @@ def reference_beam_search(models, source, width: int, max_len: int,
             h, tok = int(hyp_of[cand]), int(tok_of[cand])
             score = float(flat[cand])
             toks = live_tokens[h] + [tok]
-            als = live_aligns[h] + [alpha[h].copy()]
+            als = np.vstack([live_aligns[h], alpha[h]])
             if tok == EOS_ID:
                 pool.append(Hypothesis(tokens=toks, score=score, alignments=als))
             else:
@@ -395,7 +392,7 @@ def reference_beam_search(models, source, width: int, max_len: int,
             pool.append(Hypothesis(
                 tokens=live_tokens[i] + [EOS_ID],
                 score=float(live_scores[i] + avg[i, EOS_ID]),
-                alignments=live_aligns[i] + [alpha[i].copy()],
+                alignments=np.vstack([live_aligns[i], alpha[i]]),
                 truncated=True,
             ))
 

@@ -167,8 +167,7 @@ def test_02_biscale_gate_laws():
     def run_with_gate(bias):
         m.store.assign("bi.W_g1", np.zeros_like(m.store["bi.W_g1"].data))
         m.store.assign("bi.b_g1", np.full_like(m.store["bi.b_g1"].data, bias))
-        ctx = m.encode(source)
-        state = m.initial_state(ctx)
+        ctx, state = m.encode(source)
         steps = []
         for t in tokens:
             step = m.step_log_probs(np.array([t]), state, ctx)
@@ -325,8 +324,7 @@ def test_07_alignment_validity(aligned_copy):
             _, _, align = sequence_log_prob(run.model, src_ids, tgt_ids)
             worst_gap = max(worst_gap, float(np.abs(align.sum(axis=1) - 1).max()))
             hyp = greedy_decode([run.model], src_ids[None, :], max_len=200)[0]
-            rows = hyp.alignment_matrix()
-            worst_gap = max(worst_gap, float(np.abs(rows.sum(axis=1) - 1).max()))
+            worst_gap = max(worst_gap, float(np.abs(hyp.alignments.sum(axis=1) - 1).max()))
             steps = np.diff(align.argmax(axis=1))
             mono += int(np.sum(steps >= 0))
             total += steps.size

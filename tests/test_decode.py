@@ -193,8 +193,7 @@ def assert_matches_reference(models, sources, width, caps, length_normalize=Fals
                                    rtol=rtol, atol=atol)
         for got, ref in zip(pool, want):
             assert got.tokens[-1] == EOS_ID
-            np.testing.assert_allclose(got.alignment_matrix(), ref.alignment_matrix(),
-                                       rtol=0, atol=atol)
+            np.testing.assert_allclose(got.alignments, ref.alignments, rtol=0, atol=atol)
     return pools
 
 
@@ -328,23 +327,21 @@ class TestGreedy:
             want = reference_beam_search([m], src, 1, cap)[0]
             assert hyp.tokens == want.tokens and hyp.truncated == want.truncated
             np.testing.assert_allclose(hyp.score, want.score, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(hyp.alignment_matrix(), want.alignment_matrix(),
-                                       rtol=0, atol=1e-10)
+            np.testing.assert_allclose(hyp.alignments, want.alignments, rtol=0, atol=1e-10)
 
-    def test_batched_alignments_cover_own_source_only(self):
-        m = small_model(61)
+    @pytest.mark.parametrize("search", ["greedy", "width5", "ensemble"])
+    def test_batched_alignments_cover_own_source_only(self, search):
+        models = [small_model(61)] + ([small_model(62)] if search == "ensemble" else [])
         sources = mixed_sources(61)
         source, lengths = pad_rows(sources)
-        for hyp, src in zip(greedy_decode([m], source, lengths, max_len=12), sources):
-            assert hyp.alignment_matrix().shape == (len(hyp.tokens), len(src))
-
-    def test_alignment_row_per_token(self):
-        m = small_model(9)
-        hyp = greedy_decode([m], np.array([4, 5, 6, 1]), max_len=10)[0]
-        assert len(hyp.alignments) == len(hyp.tokens)
-        matrix = hyp.alignment_matrix()
-        assert matrix.shape == (len(hyp.tokens), 4)
-        np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-6)
+        if search == "greedy":
+            hyps = greedy_decode(models, source, lengths, max_len=12)
+        else:
+            hyps = [pool[0] for pool in beam_search(models, source, 5, 12, lengths)]
+        for hyp, src in zip(hyps, sources):
+            assert isinstance(hyp.alignments, np.ndarray)
+            assert hyp.alignments.shape == (len(hyp.tokens), len(src))
+            np.testing.assert_allclose(hyp.alignments.sum(axis=1), 1.0, atol=1e-6)
 
 
 def _toy_vocabs():

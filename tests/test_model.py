@@ -8,7 +8,6 @@ import pytest
 from charnmt import model as model_mod
 from charnmt.errors import ConfigError, ContractError, VocabularyError
 from charnmt.model import (
-    AttentionOutput,
     BaseDecoderState,
     ContextSet,
     Model,
@@ -18,7 +17,6 @@ from charnmt.model import (
     gru_cell,
     init_params,
     label_log_probs,
-    make_decoder,
     param_spec,
     sequence_log_prob,
 )
@@ -173,11 +171,11 @@ class TestFusedGruMatchesComposite:
 
         def run():
             with Graph(m.store) as g:
-                ctx = encode(m.store, m.config, source, lengths)
+                ctx, head = encode(m.store, m.config, source, lengths)
                 loss = add(sum_all(mul_const(ctx.annotations, probe_ann)),
-                           sum_all(mul_const(ctx.backward_head, probe_head)))
+                           sum_all(mul_const(head, probe_head)))
             grads = {k: t.data for k, t in backward(g, loss).items()}
-            return ctx.annotations.data, ctx.backward_head.data, grads
+            return ctx.annotations.data, head.data, grads
 
         ann, head, grads = run()
         monkeypatch.setattr(model_mod, "gru_cell", composite_gru_cell)
@@ -192,43 +190,43 @@ class TestEncode:
     def test_single_position_matches_one_gru_step(self):
         m = tiny_model(3)
         src = np.array([[7]])
-        ctx = m.encode(src)
+        ctx, head = encode(m.store, m.config, src)
         x = m.store["src_emb"].data[[7]]
         zero = np.zeros((1, 5))
         fw = ref_gru(m.store, "enc_fw", x, zero)
         bw = ref_gru(m.store, "enc_bw", x, zero)
         np.testing.assert_allclose(ctx.annotations.data[0, 0, :5], fw[0], atol=1e-12)
         np.testing.assert_allclose(ctx.annotations.data[0, 0, 5:], bw[0], atol=1e-12)
-        np.testing.assert_allclose(ctx.backward_head.data, bw, atol=1e-12)
+        np.testing.assert_allclose(head.data, bw, atol=1e-12)
 
     @pytest.mark.parametrize("t_x", [1, 2, 7, 23, 50])
     def test_row_count_matches_length(self, t_x):
         m = tiny_model(4)
         src = np.random.default_rng(t_x).integers(0, 11, size=(1, t_x))
-        ctx = m.encode(src)
+        ctx, _ = m.encode(src)
         assert ctx.annotations.shape == (1, t_x, 10)
         assert ctx.mask.shape == (1, t_x) and ctx.mask.sum() == t_x
 
     def test_zero_weights_fixed_point(self):
         m = tiny_model(5)
         zero_params(m.store)
-        ctx = m.encode(np.array([[1, 2, 3, 4]]))
+        ctx, _ = m.encode(np.array([[1, 2, 3, 4]]))
         assert np.all(ctx.annotations.data == 0.0)
 
     def test_padding_matches_unpadded_encode(self):
         m = tiny_model(6)
         full = np.array([[4, 5, 6, 1]])
         padded = np.array([[4, 5, 6, 1, 3, 3]])
-        a = m.encode(full)
-        b = m.encode(padded, lengths=np.array([4]))
+        a, a_head = encode(m.store, m.config, full)
+        b, b_head = encode(m.store, m.config, padded, lengths=np.array([4]))
         np.testing.assert_allclose(
             a.annotations.data, b.annotations.data[:, :4], atol=1e-12
         )
-        np.testing.assert_allclose(a.backward_head.data, b.backward_head.data, atol=1e-12)
+        np.testing.assert_allclose(a_head.data, b_head.data, atol=1e-12)
 
     def test_out_of_range_index(self):
         m = tiny_model(7)
-        with pytest.raises(VocabularyError):
+        with pytest.raises(VocabularyError, match="found 11..11, vocabulary size 11"):
             m.encode(np.array([[11]]))
 
     def test_empty_source(self):
@@ -240,44 +238,44 @@ class TestEncode:
 class TestAttend:
     def test_singleton_source(self):
         m = tiny_model(9)
-        ctx = m.encode(np.array([[4]]))
+        ctx, _ = m.encode(np.array([[4]]))
         y_emb = tensor(np.zeros((1, 4)), "wide")
         q = tensor(np.zeros((1, 12)), "wide")
-        out = attend(m.store, y_emb, q, ctx)
-        np.testing.assert_allclose(out.alpha.data, [[1.0]])
-        np.testing.assert_allclose(out.context.data, ctx.annotations.data[:, 0], atol=1e-12)
+        context, alpha = attend(m.store, y_emb, q, ctx)
+        np.testing.assert_allclose(alpha.data, [[1.0]])
+        np.testing.assert_allclose(context.data, ctx.annotations.data[:, 0], atol=1e-12)
 
     def test_zero_scoring_weights_give_uniform(self):
         m = tiny_model(10)
         for name in ("att.W_emb", "att.W_query", "att.W_key", "att.b", "att.v"):
             m.store.assign(name, np.zeros_like(m.store[name].data))
-        ctx = m.encode(np.array([[4, 5, 6, 7, 1]]))
+        ctx, _ = m.encode(np.array([[4, 5, 6, 7, 1]]))
         rng = np.random.default_rng(0)
-        out = attend(m.store, tensor(rng.normal(size=(1, 4)), "wide"),
-                     tensor(rng.normal(size=(1, 12)), "wide"), ctx)
-        np.testing.assert_allclose(out.alpha.data, np.full((1, 5), 0.2), atol=1e-12)
+        _, alpha = attend(m.store, tensor(rng.normal(size=(1, 4)), "wide"),
+                          tensor(rng.normal(size=(1, 12)), "wide"), ctx)
+        np.testing.assert_allclose(alpha.data, np.full((1, 5), 0.2), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_context_in_convex_hull(self, seed):
         m = tiny_model(seed)
         rng = np.random.default_rng(seed)
-        ctx = m.encode(rng.integers(0, 11, size=(2, 6)))
-        out = attend(m.store, tensor(rng.normal(size=(2, 4)), "wide"),
-                     tensor(rng.normal(size=(2, 12)), "wide"), ctx)
+        ctx, _ = m.encode(rng.integers(0, 11, size=(2, 6)))
+        context, alpha = attend(m.store, tensor(rng.normal(size=(2, 4)), "wide"),
+                                tensor(rng.normal(size=(2, 12)), "wide"), ctx)
         lo = ctx.annotations.data.min(axis=1) - 1e-12
         hi = ctx.annotations.data.max(axis=1) + 1e-12
-        assert np.all(out.context.data >= lo) and np.all(out.context.data <= hi)
-        np.testing.assert_allclose(out.alpha.data.sum(axis=1), [1.0, 1.0], atol=1e-6)
+        assert np.all(context.data >= lo) and np.all(context.data <= hi)
+        np.testing.assert_allclose(alpha.data.sum(axis=1), [1.0, 1.0], atol=1e-6)
 
     def test_padded_positions_get_zero_weight(self):
         m = tiny_model(11)
         src = np.array([[4, 5, 1, 3, 3], [4, 5, 6, 7, 1]])
-        ctx = m.encode(src, lengths=np.array([3, 5]))
+        ctx, _ = m.encode(src, lengths=np.array([3, 5]))
         rng = np.random.default_rng(1)
-        out = attend(m.store, tensor(rng.normal(size=(2, 4)), "wide"),
-                     tensor(rng.normal(size=(2, 12)), "wide"), ctx)
-        assert np.all(out.alpha.data[0, 3:] == 0.0)
-        np.testing.assert_allclose(out.alpha.data.sum(axis=1), [1.0, 1.0], atol=1e-6)
+        _, alpha = attend(m.store, tensor(rng.normal(size=(2, 4)), "wide"),
+                          tensor(rng.normal(size=(2, 12)), "wide"), ctx)
+        assert np.all(alpha.data[0, 3:] == 0.0)
+        np.testing.assert_allclose(alpha.data.sum(axis=1), [1.0, 1.0], atol=1e-6)
 
     def test_empty_context_rejected(self):
         m = tiny_model(12)
@@ -285,7 +283,6 @@ class TestAttend:
             annotations=tensor(np.zeros((1, 0, 10)), "wide"),
             keys=tensor(np.zeros((1, 0, 6)), "wide"),
             mask=np.zeros((1, 0)),
-            backward_head=tensor(np.zeros((1, 5)), "wide"),
         )
         with pytest.raises(ContractError):
             attend(m.store, tensor(np.zeros((1, 4)), "wide"),
@@ -295,8 +292,7 @@ class TestAttend:
 class TestBaseStep:
     def test_deterministic(self):
         m = tiny_model(13)
-        ctx = m.encode(np.array([[4, 1]]))
-        state = m.initial_state(ctx)
+        ctx, state = m.encode(np.array([[4, 1]]))
         c = tensor(np.ones((1, 10)), "wide")
         a = decoder_step(m, [5], state, c)
         b = decoder_step(m, [5], state, c)
@@ -306,17 +302,16 @@ class TestBaseStep:
     def test_zero_weights_stay_zero(self):
         m = tiny_model(14)
         zero_params(m.store)
-        ctx = m.encode(np.array([[4, 1]]))
-        state = m.initial_state(ctx)
+        ctx, state = m.encode(np.array([[4, 1]]))
         for tok in (BOS_ID, 5, 6):
             state = decoder_step(m, [tok], state, tensor(np.zeros((1, 10)), "wide"))
         assert np.all(state.h1.data == 0.0) and np.all(state.h2.data == 0.0)
 
     def test_out_of_range_symbol(self):
         m = tiny_model(15)
-        ctx = m.encode(np.array([[4, 1]]))
-        with pytest.raises(VocabularyError):
-            m.step_log_probs([9], m.initial_state(ctx), ctx)
+        ctx, state = m.encode(np.array([[4, 1]]))
+        with pytest.raises(VocabularyError, match="found 9..9, vocabulary size 9"):
+            m.step_log_probs([9], state, ctx)
 
 
 def _force_gate(store, name, value):
@@ -332,8 +327,8 @@ def _arrays(state):
 class TestBiscaleStep:
     def _setup(self, seed):
         m = tiny_model(seed, decoder="biscale")
-        ctx = m.encode(np.array([[4, 5, 1]]))
-        return m, ctx, m.initial_state(ctx)
+        ctx, state = m.encode(np.array([[4, 5, 1]]))
+        return m, ctx, state
 
     def test_g1_closed_freezes_slower_layer(self):
         m, ctx, state = self._setup(16)
@@ -492,8 +487,7 @@ class TestBatchingConsistency:
         tgt = rng.integers(4, 60, size=(7, 9))
         tgt[:, 0] = BOS_ID
         picked, alphas = forced_log_probs(m, src, src_len, tgt)
-        ctx = m.encode(src, src_len)
-        state, rows = m.initial_state(ctx), np.arange(7)
+        (ctx, state), rows = m.encode(src, src_len), np.arange(7)
         for t in range(8):
             logp, state, alpha = m.step_log_probs(tgt[:, t], state, ctx)
             ref = logp.data[rows, tgt[:, t + 1]]
@@ -608,8 +602,6 @@ class TestConfigAndInit:
             ModelConfig(src_vocab_size=10, tgt_vocab_size=10, attention_query="top")
         with pytest.raises(ConfigError):
             ModelConfig(src_vocab_size=0, tgt_vocab_size=10)
-        with pytest.raises(ConfigError):
-            make_decoder("lstm")
 
     def test_init_deterministic_per_seed(self):
         cfg = tiny_config()

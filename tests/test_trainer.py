@@ -15,7 +15,7 @@ import charnmt.checkpoint as checkpoint_mod
 import charnmt.model as model_mod
 import charnmt.trainer as trainer_mod
 from charnmt.checkpoint import load_checkpoint, save_checkpoint
-from charnmt.decode import default_max_len
+from charnmt.decode import default_max_len, translate_corpus
 from charnmt.errors import ConfigError, ConsistencyError, ContractError, NonFiniteError
 from charnmt.model import ModelConfig
 from charnmt.numerics import Graph, ParameterStore, backward
@@ -29,6 +29,7 @@ from charnmt.textpipe import (
     Vocabulary,
     build_vocab,
     learn_bpe,
+    load_parallel,
     segment_line,
 )
 from charnmt.trainer import (
@@ -389,6 +390,33 @@ class TestTrainLoop:
         best = load_checkpoint(result.best_dir)
         assert best.state["best_dev_nll"] <= cp.state["best_dev_nll"] + 1e-12
         assert result.best_dev_nll is not None
+
+    def test_best_holds_parameters_only(self, corpus, tmp_path):
+        paths, n_src, n_tgt = corpus
+        mc, tc = tiny_configs(n_src, n_tgt, max_steps=2, validate_every=2)
+        result = train(mc, tc, TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "run"}))
+        best, latest = load_checkpoint(result.best_dir), load_checkpoint(result.latest_dir)
+        assert not [k for k in best.tensors if k.startswith("adam.")]
+        assert {k for k in latest.tensors if not k.startswith("adam.")} == set(best.tensors)
+        assert len(latest.tensors) == 3 * len(best.tensors)
+        # both were saved at step 2: the lean `best` decodes as `latest` does
+        lines = [s for s, _ in load_parallel(paths.dev_source, paths.dev_target)]
+        texts = []
+        for directory in (result.best_dir, result.latest_dir):
+            run = load_trained_model(directory)
+            texts.append(translate_corpus([run.model], lines, run.src_vocab, run.tgt_vocab,
+                                          run.merges, "character", width=2).texts)
+        assert texts[0] == texts[1]
+
+    def test_resume_from_best_names_the_missing_moments(self, corpus, tmp_path):
+        paths, n_src, n_tgt = corpus
+        mc, tc = tiny_configs(n_src, n_tgt, max_steps=2, validate_every=2)
+        run = TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "run"})
+        result = train(mc, tc, run)
+        log = result.log_path.read_bytes()
+        with pytest.raises(ConsistencyError, match="lacks tensor 'adam.m.src_emb'"):
+            train(mc, replace(tc, max_steps=4), run, resume=result.best_dir)
+        assert result.log_path.read_bytes() == log
 
     def test_resume_matches_uninterrupted_run(self, corpus, tmp_path):
         paths, n_src, n_tgt = corpus
