@@ -329,8 +329,22 @@ class TestGreedy:
             np.testing.assert_allclose(hyp.score, want.score, rtol=0, atol=1e-10)
             np.testing.assert_allclose(hyp.alignments, want.alignments, rtol=0, atol=1e-10)
 
+    def test_batched_alignments_cover_own_source_only(self):
+        m = small_model(61)
+        sources = mixed_sources(61)
+        source, lengths = pad_rows(sources)
+        for hyp, src in zip(greedy_decode([m], source, lengths, max_len=12), sources):
+            assert hyp.alignments.shape == (len(hyp.tokens), len(src))
+
+    def test_alignment_row_per_token(self):
+        m = small_model(9)
+        hyp = greedy_decode([m], np.array([4, 5, 6, 1]), max_len=10)[0]
+        assert len(hyp.alignments) == len(hyp.tokens)
+        assert hyp.alignments.shape == (len(hyp.tokens), 4)
+        np.testing.assert_allclose(hyp.alignments.sum(axis=1), 1.0, atol=1e-6)
+
     @pytest.mark.parametrize("search", ["greedy", "width5", "ensemble"])
-    def test_batched_alignments_cover_own_source_only(self, search):
+    def test_alignment_arrays_per_search(self, search):
         models = [small_model(61)] + ([small_model(62)] if search == "ensemble" else [])
         sources = mixed_sources(61)
         source, lengths = pad_rows(sources)
