@@ -6,8 +6,10 @@ Layout:
     params.bin     concatenated little-endian IEEE-754 tensor values
     <role>.txt     one copy per referenced auxiliary file (vocabularies, merges)
 
-The manifest records a sha256 for the blob and every auxiliary file; loading
-verifies them. Writes go to a uniquely named sibling temporary directory
+The manifest records a sha256 for the blob and every auxiliary file. A load
+reads each file once and checks its sha256 on the bytes in memory before it
+parses them; the tensors are views of the one blob buffer and must tile it,
+in manifest order. Writes go to a uniquely named sibling temporary directory
 first, fsynced, and are renamed into place, so a crash never leaves a
 half-written checkpoint under the final name. An existing checkpoint is
 renamed aside and deleted only once the new one is in place; if that rename
@@ -21,7 +23,9 @@ from __future__ import annotations
 
 import glob
 import hashlib
+import math
 import os
+import re
 import shutil
 import uuid
 from dataclasses import dataclass
@@ -35,7 +39,9 @@ MANIFEST_NAME = "manifest.txt"
 BLOB_NAME = "params.bin"
 HEADER = "charnmt-checkpoint 1"
 
-_DTYPES = {"float32": "<f4", "float64": "<f8"}
+_DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
+# name, dtype, shape, offset, size; the numbers are nonnegative ASCII integers
+_TENSOR_ENTRY = re.compile(r"([^\t]*)\t(float32|float64)\t(\d+(?:,\d+)*|)\t(\d+)\t(\d+)", re.ASCII)
 
 
 @dataclass
@@ -44,14 +50,6 @@ class Checkpoint:
     state: dict[str, int | float]
     tensors: dict[str, np.ndarray]
     files: dict[str, Path]  # role -> path of the copy inside the directory
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def replace_into(path, write) -> None:
@@ -144,19 +142,21 @@ def _write_contents(tmp: Path, config: dict, state: dict, tensors: dict, files: 
         dtype_name = {4: "float32", 8: "float64"}.get(arr.dtype.itemsize)
         if arr.dtype.kind != "f" or dtype_name is None:
             raise ContractError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
-        raw = np.ascontiguousarray(arr, dtype=_DTYPES[dtype_name]).tobytes()
+        raw = np.ascontiguousarray(arr, dtype=_DTYPES[dtype_name])
         shape = ",".join(str(s) for s in arr.shape)
-        entries.append(f"{name}\t{dtype_name}\t{shape}\t{offset}\t{len(raw)}")
+        entries.append(f"{name}\t{dtype_name}\t{shape}\t{offset}\t{raw.nbytes}")
         blob_parts.append(raw)
-        offset += len(raw)
-    (tmp / BLOB_NAME).write_bytes(b"".join(blob_parts))
+        offset += raw.nbytes
+    blob = b"".join(blob_parts)
+    (tmp / BLOB_NAME).write_bytes(blob)
 
-    file_lines = [f"params\t{BLOB_NAME}\t{_sha256(tmp / BLOB_NAME)}"]
+    file_lines = [f"params\t{BLOB_NAME}\t{hashlib.sha256(blob).hexdigest()}"]
     for role, src in files.items():
         src = Path(src)
         rel = f"{role}{src.suffix or '.txt'}"
-        shutil.copyfile(src, tmp / rel)
-        file_lines.append(f"{role}\t{rel}\t{_sha256(tmp / rel)}")
+        data = src.read_bytes()
+        (tmp / rel).write_bytes(data)
+        file_lines.append(f"{role}\t{rel}\t{hashlib.sha256(data).hexdigest()}")
 
     lines = [HEADER, "[config]"]
     lines += [f"{k} = {v}" for k, v in config.items()]
@@ -200,7 +200,8 @@ def _parse_kv(lines, where):
 
 
 def load_checkpoint(directory) -> Checkpoint:
-    """Read and verify a checkpoint directory."""
+    """Read and verify a checkpoint directory. The tensors are read-only
+    views of the one buffer that holds the blob."""
     directory = Path(directory)
     _restore_aside(directory)
     manifest = directory / MANIFEST_NAME
@@ -220,7 +221,7 @@ def load_checkpoint(directory) -> Checkpoint:
                 raise IntegrityError(f"non-numeric state entry {k} = {v!r}") from None
 
     files: dict[str, Path] = {}
-    blob_path = None
+    blob = None
     for line in sections["files"]:
         parts = line.split("\t")
         if len(parts) != 3:
@@ -229,32 +230,41 @@ def load_checkpoint(directory) -> Checkpoint:
         path = directory / rel
         if not path.is_file():
             raise IntegrityError(f"checkpoint file missing: {path}")
-        if _sha256(path) != digest:
+        data = path.read_bytes()
+        if hashlib.sha256(data).hexdigest() != digest:
             raise IntegrityError(f"checksum mismatch for {path}")
         if role == "params":
-            blob_path = path
+            blob = data
         else:
             files[role] = path
-    if blob_path is None:
+    if blob is None:
         raise IntegrityError("manifest lists no params blob")
 
-    blob = blob_path.read_bytes()
     tensors: dict[str, np.ndarray] = {}
+    layouts = {}  # (dtype, shape) text -> (dtype, shape, bytes); moments repeat these
+    end = 0  # where the previous tensor's bytes end
     for line in sections["tensors"]:
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise IntegrityError(f"malformed tensor entry {line!r}")
-        name, dtype_name, shape_s, offset_s, size_s = parts
-        if dtype_name not in _DTYPES:
-            raise IntegrityError(f"tensor {name!r}: unknown dtype {dtype_name!r}")
-        shape = tuple(int(s) for s in shape_s.split(",")) if shape_s else ()
+        entry = _TENSOR_ENTRY.fullmatch(line)
+        if entry is None:
+            name = line.split("\t", 1)[0]
+            raise IntegrityError(f"tensor {name!r}: malformed entry {line!r}")
+        name, dtype_name, shape_s, offset_s, size_s = entry.groups()
+        layout = layouts.get((dtype_name, shape_s))
+        if layout is None:
+            dtype = _DTYPES[dtype_name]
+            shape = tuple(map(int, shape_s.split(","))) if shape_s else ()
+            layout = layouts[dtype_name, shape_s] = dtype, shape, math.prod(shape) * dtype.itemsize
+        dtype, shape, nbytes = layout
         offset, size = int(offset_s), int(size_s)
-        itemsize = 4 if dtype_name == "float32" else 8
-        if int(np.prod(shape, dtype=np.int64)) * itemsize != size:
+        if nbytes != size:
             raise IntegrityError(f"tensor {name!r}: shape {shape} inconsistent with size {size}")
-        if offset < 0 or offset + size > len(blob):
+        if offset != end:
+            raise IntegrityError(f"tensor {name!r}: offset {offset}, expected {end}")
+        end += size
+        if end > len(blob):
             raise IntegrityError(f"tensor {name!r}: range outside blob")
-        arr = np.frombuffer(blob, dtype=_DTYPES[dtype_name], count=size // itemsize,
-                            offset=offset).reshape(shape)
-        tensors[name] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
+        arr = np.ndarray(shape, dtype, blob, offset)
+        tensors[name] = arr if dtype.isnative else arr.astype(dtype.newbyteorder("="))
+    if end != len(blob):
+        raise IntegrityError(f"tensors end at byte {end} of a {len(blob)}-byte blob")
     return Checkpoint(config=config, state=state, tensors=tensors, files=files)

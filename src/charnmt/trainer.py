@@ -162,19 +162,23 @@ def config_dict(model_config: ModelConfig, train_config: TrainConfig) -> dict:
     return {k: str(v) for k, v in {**asdict(model_config), **asdict(train_config)}.items()}
 
 
-def _coerce(raw: str, annotation: str):
+def _coerce(key: str, raw: str, annotation: str):
     # annotations are strings here ("int", "int | None", ...): the modules
     # that define the config dataclasses use postponed evaluation
-    if raw == "None":
+    if raw == "None" and "None" in annotation:
         return None
     kind = annotation.split("|")[0].strip()
-    return {"int": int, "float": float}.get(kind, str)(raw)
+    try:
+        return {"int": int, "float": float}.get(kind, str)(raw)
+    except ValueError:
+        raise ConfigError(f"{key} = {raw!r} is not a valid {kind}") from None
 
 
 def typed_config(cls, values: dict[str, str]):
     """Build config dataclass `cls` from the string `values` of its fields;
-    fields absent from `values` keep their defaults."""
-    return cls(**{f.name: _coerce(values[f.name], f.type)
+    fields absent from `values` keep their defaults. A value of the wrong
+    type raises ConfigError naming the key."""
+    return cls(**{f.name: _coerce(f.name, values[f.name], f.type)
                   for f in fields(cls) if f.name in values})
 
 
@@ -216,9 +220,10 @@ def _spec_tensors(config: ModelConfig, tensors: dict, prefix: str = "") -> dict[
 
 
 def _store_from(config: ModelConfig, tensors: dict) -> ParameterStore:
+    # copies: a view would keep the whole blob, Adam moments included, alive
     store = ParameterStore(config.precision)
     for name, array in _spec_tensors(config, tensors).items():
-        store.add(name, array)
+        store.add(name, array.copy())
     return store
 
 
@@ -351,12 +356,15 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
         cp = load_checkpoint(resume)
         stored_mc, _ = configs_from_dict(cp.config)
         check_architecture(stored_mc, model_config)
+        for key in ("step", "epoch", "batch"):
+            if not isinstance(cp.state.get(key), int):
+                raise ConsistencyError(f"checkpoint state {key!r} is missing or not an integer")
         store = _store_from(model_config, cp.tensors)
+        # views of the blob: adam_step replaces each moment at its first step
         opt = OptimizerState(m=_spec_tensors(model_config, cp.tensors, "adam.m."),
                              v=_spec_tensors(model_config, cp.tensors, "adam.v."),
-                             step=int(cp.state["step"]))
-        epoch = int(cp.state["epoch"])
-        batch_start = int(cp.state["batch"])
+                             step=cp.state["step"])
+        epoch, batch_start = cp.state["epoch"], cp.state["batch"]
         best_nll = float(cp.state.get("best_dev_nll", math.inf))
         _trim_log(log_path, opt.step)
 

@@ -3,9 +3,21 @@ oracles the fast paths are checked against: the model's layers built from
 single-operation tape primitives, the padded teacher-forced pass, and the
 per-sentence beam search."""
 
-import dataclasses
+import os
+import sys
 
-import numpy as np
+# Before numpy loads: one BLAS thread unless the environment sets a count, as
+# the CLI pins it. A plugin that imported numpy first would void the pin.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+if "numpy" in sys.modules:
+    import warnings
+
+    warnings.warn("numpy was imported before tests/conftest.py; BLAS threads are not pinned")
+
+import dataclasses  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 import charnmt.model as model_mod
 from charnmt.decode import Hypothesis, _check_ensemble, ensemble_log_probs

@@ -1,5 +1,8 @@
 """Checkpoint container tests: round trips, integrity verification."""
 
+import builtins
+import hashlib
+import io
 import os
 import shutil
 import uuid
@@ -16,6 +19,7 @@ from charnmt.checkpoint import (
     save_checkpoint,
 )
 from charnmt.errors import ContractError, IntegrityError
+from charnmt.model import ModelConfig, init_params
 
 
 def _sample(tmp_path):
@@ -31,6 +35,27 @@ def _sample(tmp_path):
     state = {"step": 12, "epoch": 1, "batch": 3, "best_dev_nll": 0.25}
     files = {"src_vocab": vocab}
     return config, state, tensors, files
+
+
+def _edit_tensor_entry(directory, name, field, value):
+    """Set field `field` (0 name, 1 dtype, 2 shape, 3 offset, 4 size) of tensor
+    `name`'s manifest entry to `value`."""
+    manifest = directory / MANIFEST_NAME
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        parts = line.split("\t")
+        if len(parts) == 5 and parts[0] == name:
+            parts[field] = value
+            lines[i] = "\t".join(parts)
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _tensor_entry(directory, name):
+    for line in (directory / MANIFEST_NAME).read_text(encoding="utf-8").splitlines():
+        parts = line.split("\t")
+        if len(parts) == 5 and parts[0] == name:
+            return parts
+    raise KeyError(name)
 
 
 class TestRoundTrip:
@@ -171,6 +196,16 @@ class TestRoundTrip:
         save_checkpoint(b, config, state, tensors, files)
         assert (a / BLOB_NAME).read_bytes() == (b / BLOB_NAME).read_bytes()
 
+    def test_scalar_and_empty_tensors_round_trip(self, tmp_path):
+        _, state, _, files = _sample(tmp_path)
+        tensors = {"scalar": np.float64(2.5), "row": np.arange(3, dtype=np.float32),
+                   "empty": np.zeros((2, 0), dtype=np.float32)}
+        out = save_checkpoint(tmp_path / "ckpt", {}, state, tensors, files)
+        cp = load_checkpoint(out)
+        for name, arr in tensors.items():
+            assert cp.tensors[name].shape == np.shape(arr), name
+            assert np.array_equal(cp.tensors[name], arr), name
+
 
 class TestReplaceInto:
     def test_fsyncs_before_the_rename_and_the_parent_after(self, tmp_path, monkeypatch):
@@ -252,3 +287,66 @@ class TestValidation:
         manifest.write_text(text.replace("\t3,4\t", "\t3,5\t"), encoding="utf-8")
         with pytest.raises(IntegrityError):
             load_checkpoint(out)
+
+    @pytest.mark.parametrize("field,value", [(3, "12x"), (2, "3,a"), (4, "-4")])
+    def test_malformed_number_names_the_tensor(self, tmp_path, field, value):
+        config, state, tensors, files = _sample(tmp_path)
+        out = tmp_path / "ckpt"
+        save_checkpoint(out, config, state, tensors, files)
+        _edit_tensor_entry(out, "w.bias", field, value)
+        with pytest.raises(IntegrityError, match="tensor 'w.bias': malformed entry") as exc:
+            load_checkpoint(out)
+        assert value in str(exc.value)
+
+    def test_swapped_offsets_refused(self, tmp_path):
+        _, state, _, files = _sample(tmp_path)
+        cfg = ModelConfig(src_vocab_size=7, tgt_vocab_size=6, d_emb=3, d_enc=4, d_dec=5)
+        tensors = {name: t.data for name, t in init_params(cfg, 0).items()}
+        out = tmp_path / "ckpt"
+        save_checkpoint(out, {}, state, tensors, files)
+        reset, update = (_tensor_entry(out, f"enc_fw.U_{g}") for g in ("reset", "update"))
+        assert reset[2] == update[2]  # equal shapes: only the offsets tell them apart
+        _edit_tensor_entry(out, "enc_fw.U_reset", 3, update[3])
+        _edit_tensor_entry(out, "enc_fw.U_update", 3, reset[3])
+        with pytest.raises(IntegrityError, match="'enc_fw.U_reset': offset"):
+            load_checkpoint(out)
+
+    def test_first_tensor_starts_the_blob(self, tmp_path):
+        config, state, tensors, files = _sample(tmp_path)
+        out = tmp_path / "ckpt"
+        save_checkpoint(out, config, state, tensors, files)
+        _edit_tensor_entry(out, "w.matrix", 3, "4")
+        with pytest.raises(IntegrityError, match="'w.matrix': offset 4"):
+            load_checkpoint(out)
+
+    def test_tensors_end_at_the_blob_end(self, tmp_path):
+        config, state, tensors, files = _sample(tmp_path)
+        out = tmp_path / "ckpt"
+        save_checkpoint(out, config, state, tensors, files)
+        blob = out / BLOB_NAME
+        old = hashlib.sha256(blob.read_bytes()).hexdigest()
+        blob.write_bytes(blob.read_bytes() + b"\0" * 8)
+        manifest = out / MANIFEST_NAME
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace(
+            old, hashlib.sha256(blob.read_bytes()).hexdigest()), encoding="utf-8")
+        with pytest.raises(IntegrityError, match="tensors end at byte 136 of a 144-byte blob"):
+            load_checkpoint(out)
+
+
+def test_one_load_opens_the_blob_once(tmp_path, monkeypatch):
+    config, state, tensors, files = _sample(tmp_path)
+    out = tmp_path / "ckpt"
+    save_checkpoint(out, config, state, tensors, files)
+    opened = []
+
+    def spy(real):
+        def wrapper(file, *args, **kwargs):
+            opened.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else file)
+            return real(file, *args, **kwargs)
+        return wrapper
+
+    for owner in (builtins, io, os):
+        monkeypatch.setattr(owner, "open", spy(owner.open))
+    cp = load_checkpoint(out)
+    assert opened.count(str(out / BLOB_NAME)) == 1
+    assert np.array_equal(cp.tensors["w.bias"], tensors["w.bias"])

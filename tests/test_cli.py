@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import charnmt
+from charnmt.checkpoint import MANIFEST_NAME
 from charnmt.cli import main
 from charnmt.config import (
     RunConfig,
@@ -233,6 +235,41 @@ class TestTrainCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("override,shown", [
+        ("batch_size=abc", "batch_size = 'abc' is not a valid int"),
+        ("step_size=fast", "step_size = 'fast' is not a valid float"),
+        ("d_dec=1.5", "d_dec = '1.5' is not a valid int"),
+        ("batch_size=None", "batch_size = 'None' is not a valid int"),
+    ])
+    def test_value_of_wrong_type_fails_cleanly(self, workspace, tmp_path, capsys,
+                                               override, shown):
+        code = main(["train", "--config", str(workspace["config"]),
+                     f"out_dir={tmp_path / 'run'}", override])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {shown}\n"
+
+    def test_value_of_wrong_type_in_config_file_fails_cleanly(self, workspace, tmp_path,
+                                                               capsys):
+        config = write_config(tmp_path / "run.conf", workspace["paths"], batch_size="abc")
+        assert main(["train", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: batch_size = 'abc' is not a valid int\n"
+
+    @pytest.mark.parametrize("key,edit", [
+        ("step", ""), ("epoch", "epoch = 1.5"), ("batch", "")])
+    def test_resume_state_key_fails_cleanly(self, workspace, tmp_path, capsys, key, edit):
+        bad = tmp_path / "bad"
+        shutil.copytree(workspace["ckpt"], bad)
+        manifest = bad / MANIFEST_NAME
+        text, count = re.subn(rf"\n{key} = \d+\n", f"\n{edit}\n",
+                              manifest.read_text(encoding="utf-8"))
+        assert count == 1
+        manifest.write_text(text, encoding="utf-8")
+        code = main(["train", "--config", str(workspace["config"]),
+                     f"out_dir={tmp_path / 'run'}", f"resume={bad}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: checkpoint state {key!r} is missing or not an integer\n"
 
     def test_resume_decoder_conflict(self, workspace, tmp_path, capsys):
         code = main(["train", "--config", str(workspace["config"]),

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import shutil
 import uuid
 from collections import Counter
 from dataclasses import replace
@@ -14,7 +15,7 @@ import pytest
 import charnmt.checkpoint as checkpoint_mod
 import charnmt.model as model_mod
 import charnmt.trainer as trainer_mod
-from charnmt.checkpoint import load_checkpoint, save_checkpoint
+from charnmt.checkpoint import MANIFEST_NAME, load_checkpoint, save_checkpoint
 from charnmt.decode import default_max_len, translate_corpus
 from charnmt.errors import ConfigError, ConsistencyError, ContractError, NonFiniteError
 from charnmt.model import ModelConfig
@@ -620,7 +621,9 @@ class TestTrainLoop:
 
 class TestMalformedCheckpoint:
     """A checkpoint whose tensors disagree with the parameter spec is refused
-    with ConsistencyError naming the tensor, on load and on resume."""
+    with ConsistencyError naming the tensor, on load and on resume; a config
+    value of the wrong type is a ConfigError naming the key. A loaded model
+    holds copies of its parameters, not views of the checkpoint's blob."""
 
     @pytest.fixture(scope="class")
     def trained(self, corpus, tmp_path_factory):
@@ -666,6 +669,23 @@ class TestMalformedCheckpoint:
                  f"the model has src_vocab_size={mc.src_vocab_size}, "
                  f"tgt_vocab_size={mc.tgt_vocab_size}")
         with pytest.raises(ConsistencyError, match=re.escape(f"bundled in {bad} hold {sizes}")):
+            load_trained_model(bad)
+
+    def test_loaded_parameters_own_their_memory(self, trained):
+        _, _, _, latest = trained
+        for name, t in load_trained_model(latest).model.store.items():
+            assert t.data.flags.owndata and t.data.base is None, name
+
+    def test_config_value_of_wrong_type_on_load(self, trained, tmp_path):
+        _, _, _, latest = trained
+        bad = tmp_path / "bad"
+        shutil.copytree(latest, bad)
+        manifest = bad / MANIFEST_NAME
+        text = manifest.read_text(encoding="utf-8")
+        assert "\nd_dec = 8\n" in text
+        manifest.write_text(text.replace("\nd_dec = 8\n", "\nd_dec = sixty\n"),
+                            encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"d_dec = 'sixty' is not a valid int"):
             load_trained_model(bad)
 
     def test_missing_adam_moment_on_resume(self, trained, tmp_path):
