@@ -49,7 +49,7 @@ class Checkpoint:
     config: dict[str, str]
     state: dict[str, int | float]
     tensors: dict[str, np.ndarray]
-    files: dict[str, Path]  # role -> path of the copy inside the directory
+    files: dict[str, bytes]  # role -> the verified contents of its copy
 
 
 def replace_into(path, write) -> None:
@@ -152,9 +152,8 @@ def _write_contents(tmp: Path, config: dict, state: dict, tensors: dict, files: 
 
     file_lines = [f"params\t{BLOB_NAME}\t{hashlib.sha256(blob).hexdigest()}"]
     for role, src in files.items():
-        src = Path(src)
-        rel = f"{role}{src.suffix or '.txt'}"
-        data = src.read_bytes()
+        rel = f"{role}.txt"
+        data = Path(src).read_bytes()
         (tmp / rel).write_bytes(data)
         file_lines.append(f"{role}\t{rel}\t{hashlib.sha256(data).hexdigest()}")
 
@@ -220,7 +219,7 @@ def load_checkpoint(directory) -> Checkpoint:
             except ValueError:
                 raise IntegrityError(f"non-numeric state entry {k} = {v!r}") from None
 
-    files: dict[str, Path] = {}
+    files: dict[str, bytes] = {}
     blob = None
     for line in sections["files"]:
         parts = line.split("\t")
@@ -236,7 +235,7 @@ def load_checkpoint(directory) -> Checkpoint:
         if role == "params":
             blob = data
         else:
-            files[role] = path
+            files[role] = data
     if blob is None:
         raise IntegrityError("manifest lists no params blob")
 

@@ -19,15 +19,14 @@ from pathlib import Path
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
-import numpy as np  # noqa: E402
-
 from .checkpoint import replace_into
 from .config import RunConfig
 from .decode import alignment_blocks, format_alignment_block, translate_corpus
 from .errors import CharnmtError, ConfigError, ConsistencyError
 from .metrics import bleu, bleu_by_source_length, length_bleu_tsv
-from .model import sequence_log_prob
+from .model import score_pairs
 from .textpipe import (
+    EOS,
     EOS_ID,
     MergeTable,
     build_vocab,
@@ -140,20 +139,18 @@ def cmd_evaluate(args) -> int:
 def cmd_align(args) -> int:
     tm = load_trained_model(args.model)
     pairs = load_parallel(args.src, args.tgt)
+    start = time.perf_counter()
     unit = tm.train_config.target_unit
-    eos_src = tm.src_vocab.symbols[EOS_ID]
-    eos_tgt = tm.tgt_vocab.symbols[EOS_ID]
-    blocks = []
-    for source, target in pairs:
-        src_syms = segment_line(source, "subword", tm.merges)
-        tgt_syms = segment_line(target, unit, tm.merges)
-        src_ids = np.array(tm.src_vocab.encode(src_syms) + [EOS_ID])
-        tgt_ids = np.array(tm.tgt_vocab.encode(tgt_syms) + [EOS_ID])
-        _, _, align = sequence_log_prob(tm.model, src_ids, tgt_ids)
-        blocks.append(format_alignment_block(
-            src_syms + [eos_src], tgt_syms + [eos_tgt], align))
+    rows = [(segment_line(s, "subword", tm.merges), segment_line(t, unit, tm.merges))
+            for s, t in pairs]
+    scored = score_pairs(tm.model, [tm.src_vocab.encode(s) + [EOS_ID] for s, _ in rows],
+                         [tm.tgt_vocab.encode(t) + [EOS_ID] for _, t in rows])
+    blocks = [format_alignment_block(s + [EOS], t + [EOS], align)
+              for (s, t), (_, align) in zip(rows, scored)]
+    seconds = time.perf_counter() - start
     replace_into(args.output, "\n\n".join(blocks) + ("\n" if blocks else ""))
-    print(f"aligned {len(pairs)} pairs -> {args.output}")
+    print(f"aligned {len(pairs)} pairs in {seconds:.2f} s "
+          f"({len(pairs) / max(seconds, 1e-9):.1f} pairs/s) -> {args.output}")
     return 0
 
 

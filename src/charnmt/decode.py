@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EnsembleError
+from .model import SEARCH_CHUNK
 from .numerics import Tensor
 from .textpipe import (
     BOS_ID,
@@ -279,8 +280,6 @@ class TranslationResult:
     source_symbols: list[list[str]]  # per sentence, including the EOS symbol
 
 
-SEARCH_CHUNK = 64  # sentences per search call
-
 
 def translate_corpus(models, lines, src_vocab: Vocabulary, tgt_vocab: Vocabulary,
                      merges: MergeTable, unit: str, width: int,
@@ -319,7 +318,7 @@ def format_alignment_block(source_symbols, target_symbols, matrix: np.ndarray) -
     a target symbol followed by its weight over every source position.
     """
     lines = ["\t" + "\t".join(_cell(s) for s in source_symbols)]
-    for symbol, row in zip(target_symbols, matrix):
+    for symbol, row in zip(target_symbols, matrix.tolist()):  # floats format faster
         lines.append(_cell(symbol) + "\t" + "\t".join(f"{w:.6f}" for w in row))
     return "\n".join(lines)
 

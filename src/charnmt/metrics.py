@@ -14,13 +14,14 @@ BLEU so both decoder families score on the same word-level scale.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, CorpusError
-from .model import Model, sequence_log_prob
+from .model import Model, score_pairs
 from .textpipe import EOS_ID, MergeTable, Vocabulary, apply_bpe
 
 
@@ -145,30 +146,20 @@ def _target_word_spans(line: str, unit: str, vocab: Vocabulary, merges):
             pieces = apply_bpe([word], merges)
             spans.append((word, len(symbols), len(symbols) + len(pieces)))
             symbols += pieces
-        return np.array(vocab.encode(symbols) + [EOS_ID]), spans
+        return vocab.encode(symbols) + [EOS_ID], spans
 
-    symbols = list(line)
-    spans = []
-    i = 0
-    while i < len(symbols):
-        if symbols[i].isspace():
-            i += 1
-            continue
-        start = i
-        while i < len(symbols) and not symbols[i].isspace():
-            i += 1
-        spans.append((line[start:i], start, i + 1))  # +1: trailing boundary
-    words = [w for w, _, _ in spans]
-    if words != line.split():
-        raise CorpusError(f"cannot reconstruct word boundaries in line: {line!r}")
-    return np.array(vocab.encode(symbols) + [EOS_ID]), spans
+    # re's \s is str.isspace, so the words are exactly line.split()
+    spans = [(m[0], m.start(), m.end() + 1)  # +1: trailing boundary
+             for m in re.finditer(r"\S+", line)]
+    return vocab.encode(list(line)) + [EOS_ID], spans
 
 
-def _word_nlls(system: System, src_ids, line, merges):
-    target, spans = _target_word_spans(line, system.unit, system.tgt_vocab, merges)
-    _, per_pos, _ = sequence_log_prob(system.model, src_ids, target)
-    nll = -per_pos
-    return [(word, float(nll[lo:hi].sum())) for word, lo, hi in spans]
+def _word_nlls(system: System, sources, lines, merges):
+    """Per line, each target word with its NLL under `system`."""
+    spans = [_target_word_spans(line, system.unit, system.tgt_vocab, merges) for line in lines]
+    scored = score_pairs(system.model, sources, [target for target, _ in spans])
+    return [[(word, -float(per_pos[lo:hi].sum())) for word, lo, hi in words]
+            for (_, words), (per_pos, _) in zip(spans, scored)]
 
 
 def _power_of_two_bucket(count: int) -> int:
@@ -185,11 +176,11 @@ def word_nll_by_frequency(system_a: System, system_b: System, pairs,
     systems must share the source-side pipeline given by `src_vocab` and
     `merges`.
     """
+    sources = [src_vocab.encode(apply_bpe(s.split(), merges)) + [EOS_ID] for s, _ in pairs]
+    lines = [t for _, t in pairs]
     buckets: dict[int, list[float]] = {}
-    for src_line, tgt_line in pairs:
-        src_ids = np.array(src_vocab.encode(apply_bpe(src_line.split(), merges)) + [EOS_ID])
-        scored_a = _word_nlls(system_a, src_ids, tgt_line, merges)
-        scored_b = _word_nlls(system_b, src_ids, tgt_line, merges)
+    for tgt_line, scored_a, scored_b in zip(lines, _word_nlls(system_a, sources, lines, merges),
+                                            _word_nlls(system_b, sources, lines, merges)):
         if [w for w, _ in scored_a] != [w for w, _ in scored_b]:
             raise CorpusError(f"systems disagree on the words of line: {tgt_line!r}")
         for (word, nll_a), (_, nll_b) in zip(scored_a, scored_b):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, ContractError
-from .textpipe import BOS_ID
+from .textpipe import BOS_ID, pad_rows
 from .numerics import (
     PRECISIONS,
     ParameterStore,
@@ -41,6 +41,7 @@ from .numerics import (
 
 QUERY_MODES = ("slower", "faster", "both")
 DEFAULT_QUERY = {"base": "both", "biscale": "slower"}
+SEARCH_CHUNK = 64  # sentences per search or scoring call
 
 
 @dataclass
@@ -372,18 +373,25 @@ def label_log_probs(model: Model, source, src_lengths, target, target_lengths):
     return _output_log_probs(model.store, stacked, np.concatenate(labels)), alphas
 
 
-def sequence_log_prob(model: Model, source, target):
-    """Score one EOS-terminated sentence pair (no BOS in `target`).
-
-    Returns (total log-probability, per-position log-probabilities (T_y,),
-    alignment matrix (T_y, T_x)) as plain floats/arrays.
-    """
-    source = np.asarray(source)
-    target = np.asarray(target)
-    if source.size == 0 or target.size == 0:
-        raise ContractError("sequence_log_prob: empty sequence")
-    picked, alphas = label_log_probs(model, source[None, :], [source.size],
-                                     np.concatenate([[BOS_ID], target])[None, :],
-                                     [target.size + 1])
-    per_pos = picked.data.astype(float)
-    return float(np.sum(per_pos)), per_pos, np.stack([a.data[0].astype(float) for a in alphas])
+def score_pairs(model: Model, sources, targets) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Teacher-forced scores of EOS-terminated pairs (targets without BOS),
+    `SEARCH_CHUNK` pairs per `label_log_probs` call: per pair, in input
+    order, its log-probabilities (T_y,) and alignment (T_y, T_x) in float64."""
+    if len(sources) != len(targets) or any(len(row) == 0 for row in (*sources, *targets)):
+        raise ContractError("score_pairs: needs as many targets as sources, none empty")
+    scored = []
+    for start in range(0, len(sources), SEARCH_CHUNK):
+        part = slice(start, start + SEARCH_CHUNK)
+        source, src_lengths = pad_rows(sources[part])
+        target, tgt_lengths = pad_rows([[BOS_ID, *row] for row in targets[part]])
+        picked, alphas = label_log_probs(model, source, src_lengths, target, tgt_lengths)
+        # the one reader of label_log_probs' layout: longest target first (stably),
+        # position-major over the rows still running; (t, rank) lies in index[t, rank]
+        order, labels = np.argsort(-tgt_lengths, kind="stable"), tgt_lengths - 1
+        live = np.arange(len(alphas))[:, None] < labels[order]
+        index = np.cumsum(live).reshape(live.shape) - 1
+        scores = picked.data.astype(float)
+        weights = np.concatenate([alpha.data for alpha in alphas]).astype(float)
+        scored += [(scores[index[:n, r]], weights[index[:n, r], :m])
+                   for n, r, m in zip(labels, np.argsort(order), src_lengths)]
+    return scored

@@ -55,16 +55,21 @@ class MergeTable:
 
     @classmethod
     def load(cls, path) -> "MergeTable":
-        raw = Path(path).read_text(encoding="utf-8").splitlines()
+        return cls.parse(Path(path).read_text(encoding="utf-8"), path)
+
+    @classmethod
+    def parse(cls, text: str, origin) -> "MergeTable":
+        """The table a merge file's `text` holds; errors name `origin`."""
+        raw = text.splitlines()
         if not raw or not raw[0].startswith("#"):
-            raise CorpusError(f"merge file {path} missing version comment")
+            raise CorpusError(f"merge file {origin} missing version comment")
         rules = []
         for lineno, line in enumerate(raw[1:], start=2):
             if not line:
                 continue
             parts = line.split(" ")
             if len(parts) != 2:
-                raise CorpusError(f"merge file {path}:{lineno}: expected two symbols")
+                raise CorpusError(f"merge file {origin}:{lineno}: expected two symbols")
             rules.append((parts[0], parts[1]))
         return cls(rules=rules)
 
@@ -196,7 +201,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path, unit: str) -> "Vocabulary":
-        text = Path(path).read_text(encoding="utf-8")
+        return cls.parse(Path(path).read_text(encoding="utf-8"), unit)
+
+    @classmethod
+    def parse(cls, text: str, unit: str) -> "Vocabulary":
+        """The vocabulary a vocabulary file's `text` holds, one symbol a line."""
         symbols = text.split("\n")
         if symbols and symbols[-1] == "":
             symbols.pop()

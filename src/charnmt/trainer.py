@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, replace_into, save_checkpoint
-from .decode import SEARCH_CHUNK, default_max_len, greedy_decode, hypothesis_text
+from .decode import default_max_len, greedy_decode, hypothesis_text
 from .errors import ConfigError, ConsistencyError, ContractError, CorpusError, NonFiniteError
 from .metrics import bleu
-from .model import Model, ModelConfig, init_params, label_log_probs, param_spec
+from .model import SEARCH_CHUNK, Model, ModelConfig, init_params, label_log_probs, param_spec
 from .numerics import PRECISIONS, Graph, ParameterStore, backward, scale, sum_all
 from .textpipe import (
     EOS_ID,
@@ -60,11 +60,15 @@ class TrainConfig:
         for name in ("batch_size", "validate_every", "max_source_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("clip", "step_size", "epsilon"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.max_steps < 0:
-            raise ConfigError("max_steps must be nonnegative")
+        # `not value > 0` refuses NaN too; an infinite clip is legal and never clips
+        for name, finite in (("clip", False), ("step_size", True), ("epsilon", True)):
+            value = getattr(self, name)
+            if not value > 0 or (finite and math.isinf(value)):
+                raise ConfigError(f"{name} must be positive{' and finite' if finite else ''}, "
+                                  f"got {value}")
+        for name in ("max_steps", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
         for name in ("beta1", "beta2"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1)")
@@ -252,9 +256,11 @@ def load_trained_model(directory) -> TrainedModel:
     for role in ("src_vocab", "tgt_vocab", "merges"):
         if role not in cp.files:
             raise ConsistencyError(f"checkpoint lacks bundled file {role!r}")
-    src_vocab = Vocabulary.load(cp.files["src_vocab"], "subword")
-    tgt_vocab = Vocabulary.load(cp.files["tgt_vocab"], tc.target_unit)
-    merges = MergeTable.load(cp.files["merges"])
+    # the bytes load_checkpoint verified, not a second read of the files
+    text = {role: data.decode("utf-8") for role, data in cp.files.items()}
+    src_vocab = Vocabulary.parse(text["src_vocab"], "subword")
+    tgt_vocab = Vocabulary.parse(text["tgt_vocab"], tc.target_unit)
+    merges = MergeTable.parse(text["merges"], f"bundled in {directory}")
     mc.check_vocab_sizes(len(src_vocab), len(tgt_vocab), f"the vocabularies bundled in {directory}")
     return TrainedModel(
         model=Model(mc, store), model_config=mc, train_config=tc,
@@ -357,8 +363,9 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
         stored_mc, _ = configs_from_dict(cp.config)
         check_architecture(stored_mc, model_config)
         for key in ("step", "epoch", "batch"):
-            if not isinstance(cp.state.get(key), int):
-                raise ConsistencyError(f"checkpoint state {key!r} is missing or not an integer")
+            if not isinstance(cp.state.get(key), int) or cp.state[key] < 0:
+                raise ConsistencyError(
+                    f"checkpoint state {key!r} is missing or not a nonnegative integer")
         store = _store_from(model_config, cp.tensors)
         # views of the blob: adam_step replaces each moment at its first step
         opt = OptimizerState(m=_spec_tensors(model_config, cp.tensors, "adam.m."),

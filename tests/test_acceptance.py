@@ -17,7 +17,7 @@ import pytest
 
 from charnmt.decode import beam_search, greedy_decode, hypothesis_text
 from charnmt.metrics import System, bleu, word_nll_by_frequency
-from charnmt.model import Model, ModelConfig, init_params, sequence_log_prob
+from charnmt.model import Model, ModelConfig, init_params, score_pairs
 from charnmt.numerics import Graph, Tensor, backward
 from charnmt.synth import copy_corpus, split_pairs, transliteration_corpus
 from charnmt.textpipe import (
@@ -317,11 +317,10 @@ def test_07_alignment_validity(aligned_copy):
         run = aligned_copy[decoder]
         worst_gap = 0.0
         mono = total = 0
-        for line in lines:
-            pieces = segment_line(line, "subword", run.merges)
-            src_ids = np.array(run.src_vocab.encode(pieces) + [EOS_ID])
-            tgt_ids = np.array(run.tgt_vocab.encode(list(line)) + [EOS_ID])
-            _, _, align = sequence_log_prob(run.model, src_ids, tgt_ids)
+        sources = [np.array(run.src_vocab.encode(segment_line(line, "subword", run.merges))
+                            + [EOS_ID]) for line in lines]
+        targets = [np.array(run.tgt_vocab.encode(list(line)) + [EOS_ID]) for line in lines]
+        for src_ids, (_, align) in zip(sources, score_pairs(run.model, sources, targets)):
             worst_gap = max(worst_gap, float(np.abs(align.sum(axis=1) - 1).max()))
             hyp = greedy_decode([run.model], src_ids[None, :], max_len=200)[0]
             worst_gap = max(worst_gap, float(np.abs(hyp.alignments.sum(axis=1) - 1).max()))

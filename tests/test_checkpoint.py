@@ -20,6 +20,8 @@ from charnmt.checkpoint import (
 )
 from charnmt.errors import ContractError, IntegrityError
 from charnmt.model import ModelConfig, init_params
+from charnmt.textpipe import MERGE_FILE_VERSION, RESERVED
+from charnmt.trainer import TrainConfig, config_dict, load_trained_model
 
 
 def _sample(tmp_path):
@@ -70,7 +72,7 @@ class TestRoundTrip:
         for name, arr in tensors.items():
             assert cp.tensors[name].dtype == arr.dtype
             assert np.array_equal(cp.tensors[name], arr)
-        assert cp.files["src_vocab"].read_text(encoding="utf-8").startswith("<s>")
+        assert cp.files == {"src_vocab": files["src_vocab"].read_bytes()}
 
     def test_overwrite_existing(self, tmp_path):
         config, state, tensors, files = _sample(tmp_path)
@@ -333,10 +335,8 @@ class TestValidation:
             load_checkpoint(out)
 
 
-def test_one_load_opens_the_blob_once(tmp_path, monkeypatch):
-    config, state, tensors, files = _sample(tmp_path)
-    out = tmp_path / "ckpt"
-    save_checkpoint(out, config, state, tensors, files)
+def _record_opens(monkeypatch) -> list:
+    """Every file opened from now on, as a path string where it has one."""
     opened = []
 
     def spy(real):
@@ -347,6 +347,35 @@ def test_one_load_opens_the_blob_once(tmp_path, monkeypatch):
 
     for owner in (builtins, io, os):
         monkeypatch.setattr(owner, "open", spy(owner.open))
+    return opened
+
+
+def test_one_load_opens_the_blob_once(tmp_path, monkeypatch):
+    config, state, tensors, files = _sample(tmp_path)
+    out = tmp_path / "ckpt"
+    save_checkpoint(out, config, state, tensors, files)
+    opened = _record_opens(monkeypatch)
     cp = load_checkpoint(out)
     assert opened.count(str(out / BLOB_NAME)) == 1
     assert np.array_equal(cp.tensors["w.bias"], tensors["w.bias"])
+
+
+def test_one_trained_model_load_opens_each_bundled_file_once(tmp_path, monkeypatch):
+    """The vocabularies and the merge table are parsed from the bytes whose
+    checksum the load verified, not read a second time."""
+    symbols = "".join(s + "\n" for s in (*RESERVED, "a"))
+    files = {}
+    for role, text in (("src_vocab", symbols), ("tgt_vocab", symbols),
+                       ("merges", f"{MERGE_FILE_VERSION}\na a\n")):
+        files[role] = tmp_path / f"{role}.in"
+        files[role].write_text(text, encoding="utf-8")
+    mc = ModelConfig(src_vocab_size=5, tgt_vocab_size=5, d_emb=2, d_enc=2, d_dec=2)
+    tensors = {name: t.data for name, t in init_params(mc, 0).items()}
+    out = tmp_path / "ckpt"
+    save_checkpoint(out, config_dict(mc, TrainConfig()), {"step": 0}, tensors, files)
+    opened = _record_opens(monkeypatch)
+    tm = load_trained_model(out)
+    for role in files:
+        assert opened.count(str(out / f"{role}.txt")) == 1, role
+    assert tm.src_vocab.symbols == tm.tgt_vocab.symbols == [*RESERVED, "a"]
+    assert tm.merges.rules == [("a", "a")]

@@ -1,5 +1,8 @@
 """End-to-end command-line tests driven through main()."""
 
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import re
@@ -7,11 +10,14 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import uuid
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import charnmt
 from charnmt.checkpoint import MANIFEST_NAME
@@ -255,8 +261,26 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config)]) == 1
         assert capsys.readouterr().err == "error: batch_size = 'abc' is not a valid int\n"
 
+    @pytest.mark.parametrize("override", [
+        "step_size=nan", "epsilon=nan", "clip=nan", "step_size=inf", "epsilon=inf",
+        "clip=NaN", "step_size=Infinity"])
+    def test_nan_or_infinite_optimizer_setting_fails_cleanly(self, workspace, tmp_path, capsys,
+                                                             override):
+        code = main(["train", "--config", str(workspace["config"]),
+                     f"out_dir={tmp_path / 'run'}", override])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {override.split('=')[0]} must be positive")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_infinite_clip_trains(self, workspace, tmp_path):
+        assert main(["train", "--config", str(workspace["config"]),
+                     f"out_dir={tmp_path / 'run'}", "clip=inf", "max_steps=1"]) == 0
+        assert load_trained_model(tmp_path / "run" / "latest").train_config.clip == float("inf")
+
     @pytest.mark.parametrize("key,edit", [
-        ("step", ""), ("epoch", "epoch = 1.5"), ("batch", "")])
+        ("step", ""), ("epoch", "epoch = 1.5"), ("batch", ""), ("step", "step = -1")])
     def test_resume_state_key_fails_cleanly(self, workspace, tmp_path, capsys, key, edit):
         bad = tmp_path / "bad"
         shutil.copytree(workspace["ckpt"], bad)
@@ -269,7 +293,7 @@ class TestTrainCommand:
                      f"out_dir={tmp_path / 'run'}", f"resume={bad}"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"error: checkpoint state {key!r} is missing or not an integer\n"
+        assert err == f"error: checkpoint state {key!r} is missing or not a nonnegative integer\n"
 
     def test_resume_decoder_conflict(self, workspace, tmp_path, capsys):
         code = main(["train", "--config", str(workspace["config"]),
@@ -399,6 +423,20 @@ class TestAlignCommand:
                 total = sum(float(c) for c in row.split("\t")[1:])
                 assert abs(total - 1.0) < 1e-4
 
+    def test_summary_reports_pairs_and_rate(self, workspace, tmp_path, capsys):
+        paths = workspace["paths"]
+        out = tmp_path / "align.tsv"
+        assert main(["align", "--model", str(workspace["ckpt"]),
+                     "--src", str(paths.dev_source), "--tgt", str(paths.dev_target),
+                     "--output", str(out)]) == 0
+        summary = capsys.readouterr().out.strip()
+        match = re.fullmatch(r"aligned (\d+) pairs in ([\d.]+) s \(([\d.]+) pairs/s\) -> (.+)",
+                             summary)
+        assert match, summary
+        assert int(match[1]) == len(DEV_LINES)
+        assert float(match[3]) > 0
+        assert match[4] == str(out)
+
     def test_mismatched_files(self, workspace, tmp_path, capsys):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -473,3 +511,92 @@ def test_run_killed_at_a_random_step_resumes_to_the_uninterrupted_result(workspa
                    check=True, capture_output=True, timeout=300)
     for name in ("train.log", "latest/params.bin"):
         assert (run / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def test_word_nll_analysis_script_on_one_checkpoint_twice(workspace, tmp_path, capsys,
+                                                          monkeypatch):
+    """The analysis script, run in-process with the same checkpoint as both
+    systems: every bucket's difference is exactly zero."""
+    spec = importlib.util.spec_from_file_location(
+        "word_nll_analysis", Path(__file__).resolve().parents[1] / "scripts" /
+        "word_nll_analysis.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    paths, out = workspace["paths"], tmp_path / "nll.tsv"
+    monkeypatch.setattr(sys, "argv", [
+        "word_nll_analysis.py", "--model-a", str(workspace["ckpt"]),
+        "--model-b", str(workspace["ckpt"]), "--src", str(paths.dev_source),
+        "--tgt", str(paths.dev_target), "--train-target", str(paths.train_target),
+        "--output", str(out)])
+    assert script.main() == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "frequency\twords\tmean_nll_a_minus_b"
+    assert rows and all(float(row.split("\t")[2]) == 0.0 for row in rows)
+    assert sum(int(row.split("\t")[1]) for row in rows) == sum(len(l.split()) for l in DEV_LINES)
+    assert out.read_text(encoding="utf-8") == "".join(row + "\n" for row in rows)
+
+
+# One mutation of one line of a train command's inputs: a run config line, an
+# override token, or a [config] or [state] line of the checkpoint it resumes.
+# Swapped-in values are never large integers, which would size allocations.
+_SWAPS = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-1", "0", "1.5"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Nd", "Zl", "Zp")),
+            min_size=1, max_size=8))
+
+
+@st.composite
+def _mutated(draw, lines):
+    i = draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    kind = draw(st.sampled_from(["delete", "duplicate", "truncate", "swap"]))
+    if kind == "delete":
+        new = []
+    elif kind == "duplicate":
+        new = [line, line]
+    elif kind == "truncate":
+        new = [line[: draw(st.integers(0, len(line) - 1))]]
+    else:
+        new = [re.match(r"[^=]*=\s?", line)[0] + draw(_SWAPS)]
+    return lines[:i] + new + lines[i + 1 :]
+
+
+_RICH_CONFIG = dict(step_size=0.01, clip=5.0, epsilon=1e-6, beta1=0.9, beta2=0.99,
+                    decoder="biscale", precision="wide", attention_query="both", d_att=7,
+                    max_source_len=20, max_target_len=30)
+_OVERRIDES = ["batch_size=3", "step_size=0.002", "clip=2.5", "epsilon=1e-7", "d_dec=5",
+              "decoder=biscale", "seed=3", "validate_every=1", "max_target_len=40"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_mutated_input_line_exits_0_or_prints_one_error_line(workspace, data):
+    kind = data.draw(st.sampled_from(["config", "override", "[config]", "[state]"]))
+    with tempfile.TemporaryDirectory(dir=workspace["root"]) as tmp:
+        tmp = Path(tmp)
+        config, overrides = workspace["config"], []
+        if kind == "config":
+            config = write_config(tmp / "run.conf", workspace["paths"],
+                                  src_vocab_size=workspace["n_src"],
+                                  tgt_vocab_size=workspace["n_tgt"], **_RICH_CONFIG)
+            lines = data.draw(_mutated(config.read_text(encoding="utf-8").splitlines()))
+            config.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+        elif kind == "override":
+            overrides = data.draw(_mutated(_OVERRIDES))
+        else:
+            checkpoint = tmp / "ckpt"
+            shutil.copytree(workspace["ckpt"], checkpoint)
+            manifest = checkpoint / MANIFEST_NAME
+            lines = manifest.read_text(encoding="utf-8").splitlines()
+            start = lines.index(kind) + 1
+            end = next(i for i in range(start, len(lines)) if lines[i].startswith("["))
+            lines[start:end] = data.draw(_mutated(lines[start:end]))
+            manifest.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+            overrides = [f"resume={checkpoint}"]
+        argv = ["train", "--config", str(config), *overrides, f"out_dir={tmp / 'run'}",
+                "max_steps=0"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code == 0 or (code == 1 and err.getvalue().startswith("error:")
+                         and err.getvalue().count("\n") == 1), (argv, err.getvalue())

@@ -16,7 +16,7 @@ from charnmt.decode import (
     translate_corpus,
 )
 from charnmt.errors import ConfigError, ConsistencyError, EnsembleError
-from charnmt.model import sequence_log_prob
+from charnmt.model import score_pairs
 from charnmt.textpipe import EOS_ID, RESERVED, MergeTable, Vocabulary, pad_rows
 
 from conftest import random_source, reference_beam_search, small_model
@@ -134,9 +134,10 @@ class TestBeamContracts:
         rng = np.random.default_rng(200 + seed)
         m = small_model(seed, decoder="biscale" if seed % 2 else "base")
         src = random_source(rng)
-        for hyp in beam_search([m], src, width=3, max_len=10)[0]:
-            total, _, _ = sequence_log_prob(m, src, np.array(hyp.tokens))
-            np.testing.assert_allclose(hyp.score, total, atol=1e-5)
+        pool = beam_search([m], src, width=3, max_len=10)[0]
+        for hyp, (per_pos, _) in zip(pool, score_pairs(m, [src] * len(pool),
+                                                       [hyp.tokens for hyp in pool])):
+            np.testing.assert_allclose(hyp.score, per_pos.sum(), atol=1e-5)
 
     def test_scores_sorted_and_finished(self):
         m = small_model(5)
@@ -286,9 +287,9 @@ class TestBatchedLaws:
         sources = mixed_sources(64)
         source, lengths = pad_rows(sources)
         for pool, src in zip(beam_search([m], source, 3, 10, lengths), sources):
-            for hyp in pool:
-                total, _, _ = sequence_log_prob(m, src, np.array(hyp.tokens))
-                np.testing.assert_allclose(hyp.score, total, rtol=0, atol=1e-10)
+            for hyp, (per_pos, _) in zip(pool, score_pairs(m, [src] * len(pool),
+                                                           [hyp.tokens for hyp in pool])):
+                np.testing.assert_allclose(hyp.score, per_pos.sum(), rtol=0, atol=1e-10)
 
     def test_bad_caps_rejected(self):
         m = small_model(65)

@@ -19,7 +19,7 @@ from charnmt.metrics import (
     word_nll_by_frequency,
     word_nll_tsv,
 )
-from charnmt.model import sequence_log_prob
+from charnmt.model import score_pairs
 from charnmt.textpipe import EOS_ID, RESERVED, MergeTable, Vocabulary, apply_bpe
 
 from conftest import small_model
@@ -227,10 +227,10 @@ class TestWordNll:
 
         # character system: "uv w" -> u v (space) w + EOS; spans uv=[0:3], w=[3:5]
         char_ids = np.array(a.tgt_vocab.encode(list(line)) + [EOS_ID])
-        _, char_pos, _ = sequence_log_prob(a.model, src_ids, char_ids)
+        [(char_pos, _)] = score_pairs(a.model, [src_ids], [char_ids])
         # subword system: pieces u@@ v | w; spans uv=[0:2], w=[2:3]
         sub_ids = np.array(c.tgt_vocab.encode(["u@@", "v", "w"]) + [EOS_ID])
-        _, sub_pos, _ = sequence_log_prob(c.model, src_ids, sub_ids)
+        [(sub_pos, _)] = score_pairs(c.model, [src_ids], [sub_ids])
 
         expected_uv = -char_pos[0:3].sum() + sub_pos[0:2].sum()
         expected_w = -char_pos[3:5].sum() + sub_pos[2:3].sum()

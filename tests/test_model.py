@@ -18,7 +18,7 @@ from charnmt.model import (
     init_params,
     label_log_probs,
     param_spec,
-    sequence_log_prob,
+    score_pairs,
 )
 from charnmt.numerics import (
     Graph, ParameterStore, backward, embed, scale, sum_all, tensor,
@@ -410,26 +410,34 @@ class TestOutputLogProbs:
 
 
 class TestSequenceLogProb:
+    """Sequence scores: `score_pairs`, the batched teacher-forced scorer."""
+
     def test_total_is_sum_and_rows_normalized(self):
         m = tiny_model(22)
         src = np.array([4, 5, 6, EOS_ID])
         tgt = np.array([5, 7, 4, EOS_ID])
-        total, per_pos, align = sequence_log_prob(m, src, tgt)
-        np.testing.assert_allclose(total, per_pos.sum(), atol=1e-6)
+        [(per_pos, align)] = score_pairs(m, [src], [tgt])
+        assert per_pos.shape == (4,) and per_pos.dtype == np.float64
         assert align.shape == (4, 4)
         np.testing.assert_allclose(align.sum(axis=1), np.ones(4), atol=1e-6)
-        assert total < 0.0
+        assert per_pos.sum() < 0.0
 
     def test_singleton_vocabulary_certain(self):
         m = tiny_model(23, tgt_vocab_size=1)
-        total, per_pos, _ = sequence_log_prob(m, np.array([4, 1]), np.array([0, 0, 0]))
-        assert total == 0.0
+        [(per_pos, _)] = score_pairs(m, [np.array([4, 1])], [np.array([0, 0, 0])])
+        assert per_pos.sum() == 0.0
         assert np.all(per_pos == 0.0)
+
+    def test_no_pairs_no_scores(self):
+        assert score_pairs(tiny_model(24), [], []) == []
 
     def test_empty_rejected(self):
         m = tiny_model(24)
-        with pytest.raises(ContractError):
-            sequence_log_prob(m, np.array([], dtype=int), np.array([1]))
+        for sources, targets in (([np.array([], dtype=int)], [np.array([1])]),
+                                 ([np.array([4, 1])], [np.array([], dtype=int)]),
+                                 ([np.array([4, 1]), np.array([1])], [np.array([1])])):
+            with pytest.raises(ContractError):
+                score_pairs(m, sources, targets)
 
     @pytest.mark.parametrize("decoder", ["base", "biscale"])
     @pytest.mark.parametrize("precision", ["wide", "narrow"])
@@ -440,12 +448,45 @@ class TestSequenceLogProb:
         for _ in range(5):
             src = random_source(rng)
             tgt = np.append(rng.integers(4, 9, size=int(rng.integers(0, 7))), EOS_ID)
-            total, per_pos, align = sequence_log_prob(m, src, tgt)
+            [(per_pos, align)] = score_pairs(m, [src], [tgt])
             picked, alphas = forced_log_probs(m, src[None, :], None,
                                               np.concatenate([[BOS_ID], tgt])[None, :])
-            want = picked.data[0].astype(float)
-            assert np.array_equal(per_pos, want) and total == float(np.sum(want))
+            assert np.array_equal(per_pos, picked.data[0].astype(float))
             assert np.array_equal(align, np.stack([a.data[0].astype(float) for a in alphas]))
+
+    @pytest.mark.parametrize("decoder", ["base", "biscale"])
+    @pytest.mark.parametrize("precision", ["wide", "narrow"])
+    def test_batched_pairs_equal_their_one_row_passes(self, decoder, precision, monkeypatch):
+        """Ragged pairs out of length order, several chunks: every pair's
+        scores and alignment equal its own one-row `label_log_probs` pass,
+        up to the summation order of the batched GEMMs. Float32 allows 16
+        eps times the larger of 1 and the largest |log p| (a confident
+        model's log p near 0 still carries its logits' rounding), and 16
+        eps on an alignment weight."""
+        monkeypatch.setattr(model_mod, "SEARCH_CHUNK", 5)
+        cfg = tiny_config(decoder=decoder, precision=precision, d_emb=32, d_enc=48,
+                          d_dec=64, d_att=48, tgt_vocab_size=60)
+        m = Model(cfg, init_params(cfg, 77))
+        rng = np.random.default_rng(77)
+        for _ in range(20):
+            count = int(rng.integers(1, 13))
+            sources = [np.append(rng.integers(4, 11, size=int(rng.integers(0, 12))), EOS_ID)
+                       for _ in range(count)]
+            targets = [np.append(rng.integers(4, 60, size=int(rng.integers(0, 12))), EOS_ID)
+                       for _ in range(count)]
+            for src, tgt, (per_pos, align) in zip(sources, targets,
+                                                   score_pairs(m, sources, targets)):
+                picked, alphas = label_log_probs(m, src[None, :], [len(src)],
+                                                 np.concatenate([[BOS_ID], tgt])[None, :],
+                                                 [len(tgt) + 1])
+                ref = picked.data.astype(float)
+                ref_align = np.stack([a.data[0] for a in alphas]).astype(float)
+                eps = np.finfo(picked.data.dtype).eps
+                atol = 1e-12 if precision == "wide" else 16 * eps * max(1, np.abs(ref).max())
+                assert per_pos.shape == ref.shape and align.shape == ref_align.shape
+                np.testing.assert_allclose(per_pos, ref, rtol=0, atol=atol)
+                np.testing.assert_allclose(align, ref_align, rtol=0,
+                                           atol=1e-12 if precision == "wide" else 16 * eps)
 
 
 class TestBatchingConsistency:
@@ -468,7 +509,7 @@ class TestBatchingConsistency:
             tgt[i, 1 : 1 + len(t)] = t
         picked, _ = forced_log_probs(m, src, src_len, tgt)
         for i, (s, t) in enumerate(pairs):
-            _, per_pos, _ = sequence_log_prob(m, s, t)
+            [(per_pos, _)] = score_pairs(m, [s], [t])
             np.testing.assert_allclose(picked.data[i, : len(t)], per_pos, atol=1e-9)
 
 

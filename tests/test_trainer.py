@@ -46,6 +46,7 @@ from charnmt.trainer import (
     global_norm,
     load_trained_model,
     train,
+    typed_config,
 )
 
 from conftest import (
@@ -277,6 +278,20 @@ class TestTrainConfig:
             with pytest.raises(ConfigError):
                 TrainConfig(**kw)
 
+    @pytest.mark.parametrize("key,value", [("step_size", "nan"), ("epsilon", "nan"),
+                                           ("clip", "nan"), ("step_size", "inf"),
+                                           ("epsilon", "inf"), ("seed", "-1")])
+    def test_rejects_nan_infinite_and_negative_settings(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must be "):
+            typed_config(TrainConfig, {key: value})
+
+    def test_infinite_clip_is_legal_and_never_clips(self):
+        config = typed_config(TrainConfig, {"clip": "inf"})
+        grads = {"w": np.array([3e30, -4e30])}
+        clipped, norm = clip_gradients(grads, config.clip)
+        assert config.clip == math.inf and norm == 5e30
+        assert np.array_equal(clipped["w"], grads["w"])
+
     def test_target_limit_defaults(self):
         assert TrainConfig(target_unit="character").target_limit() == 500
         assert TrainConfig(target_unit="subword").target_limit() == 100
@@ -385,8 +400,8 @@ class TestTrainLoop:
         mc2, tc2 = configs_from_dict(cp.config)
         assert mc2 == mc and tc2 == tc
         # vocab and merge files ride along and match the originals
-        assert cp.files["src_vocab"].read_bytes() == paths.src_vocab.read_bytes()
-        assert cp.files["merges"].read_bytes() == paths.merges.read_bytes()
+        assert cp.files["src_vocab"] == paths.src_vocab.read_bytes()
+        assert cp.files["merges"] == paths.merges.read_bytes()
         # best checkpoint exists after validation and scores no worse
         best = load_checkpoint(result.best_dir)
         assert best.state["best_dev_nll"] <= cp.state["best_dev_nll"] + 1e-12
@@ -634,7 +649,12 @@ class TestMalformedCheckpoint:
         return mc, tc, run, train(mc, tc, run).latest_dir
 
     @staticmethod
-    def rewrite(source, target, name, value):
+    def copies(directory, cp):
+        """The paths of the bundled files inside checkpoint `directory`."""
+        return {role: Path(directory) / f"{role}.txt" for role in cp.files}
+
+    @classmethod
+    def rewrite(cls, source, target, name, value):
         """Copy checkpoint `source` to `target` with tensor `name` replaced by
         `value`, or dropped when `value` is None."""
         cp = load_checkpoint(source)
@@ -643,7 +663,7 @@ class TestMalformedCheckpoint:
             del tensors[name]
         else:
             tensors[name] = value
-        return save_checkpoint(target, cp.config, cp.state, tensors, cp.files)
+        return save_checkpoint(target, cp.config, cp.state, tensors, cls.copies(source, cp))
 
     def test_missing_parameter_on_load(self, trained, tmp_path):
         _, _, _, latest = trained
@@ -661,10 +681,9 @@ class TestMalformedCheckpoint:
         mc, _, _, latest = trained
         cp = load_checkpoint(latest)
         grown = tmp_path / "vocab.tgt"
-        grown.write_text(cp.files["tgt_vocab"].read_text(encoding="utf-8") + "#\n",
-                         encoding="utf-8")
+        grown.write_bytes(cp.files["tgt_vocab"] + b"#\n")
         bad = save_checkpoint(tmp_path / "bad", cp.config, cp.state, cp.tensors,
-                              {**cp.files, "tgt_vocab": grown})
+                              {**self.copies(latest, cp), "tgt_vocab": grown})
         sizes = (f"{mc.src_vocab_size}/{mc.tgt_vocab_size + 1} source/target symbols, but "
                  f"the model has src_vocab_size={mc.src_vocab_size}, "
                  f"tgt_vocab_size={mc.tgt_vocab_size}")
