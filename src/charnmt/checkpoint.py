@@ -1,10 +1,11 @@
 """Checkpoint container: one directory holding a structured-text manifest,
-a raw tensor blob, and copies of the vocabulary/merge files.
+a raw tensor blob, and the bytes of the vocabulary/merge files, which the
+caller hands over: this module opens no file it bundles.
 
 Layout:
     manifest.txt   header line, then [config] / [files] / [state] / [tensors]
     params.bin     concatenated little-endian IEEE-754 tensor values
-    <role>.txt     one copy per referenced auxiliary file (vocabularies, merges)
+    <role>.txt     the bytes given for each bundled file (vocabularies, merges)
 
 The manifest records a sha256 for the blob and every auxiliary file. A load
 reads each file once and checks its sha256 on the bytes in memory before it
@@ -74,7 +75,7 @@ def replace_into(path, write) -> None:
 
 
 def save_checkpoint(directory, config: dict, state: dict, tensors: dict, files: dict) -> Path:
-    """Write a checkpoint. `files` maps role -> source path to copy in."""
+    """Write a checkpoint. `files` maps role -> the bytes to bundle as `<role>.txt`."""
     directory = Path(directory)
     for key, value in config.items():
         if "\n" in str(value) or "\t" in str(value):
@@ -151,9 +152,8 @@ def _write_contents(tmp: Path, config: dict, state: dict, tensors: dict, files: 
     (tmp / BLOB_NAME).write_bytes(blob)
 
     file_lines = [f"params\t{BLOB_NAME}\t{hashlib.sha256(blob).hexdigest()}"]
-    for role, src in files.items():
+    for role, data in files.items():
         rel = f"{role}.txt"
-        data = Path(src).read_bytes()
         (tmp / rel).write_bytes(data)
         file_lines.append(f"{role}\t{rel}\t{hashlib.sha256(data).hexdigest()}")
 

@@ -21,7 +21,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from .checkpoint import replace_into
 from .config import RunConfig
-from .decode import alignment_blocks, format_alignment_block, translate_corpus
+from .decode import alignment_blocks, translate_corpus
 from .errors import CharnmtError, ConfigError, ConsistencyError
 from .metrics import bleu, bleu_by_source_length, length_bleu_tsv
 from .model import score_pairs
@@ -105,7 +105,10 @@ def cmd_translate(args) -> int:
     seconds = time.perf_counter() - start
     replace_into(args.output, "".join(t + "\n" for t in result.texts))
     if args.dump_align is not None:
-        replace_into(args.dump_align, alignment_blocks(result, first.tgt_vocab))
+        symbols = first.tgt_vocab.symbols
+        replace_into(args.dump_align, alignment_blocks(
+            (src, [symbols[t] for t in h.tokens], h.alignments)
+            for h, src in zip(result.hypotheses, result.source_symbols)))
     closed = sum(h.truncated for h in result.hypotheses)
     print(f"translated {len(lines)} lines in {seconds:.2f} s "
           f"({len(lines) / max(seconds, 1e-9):.1f} sent/s), {closed} closed at the length cap "
@@ -145,10 +148,10 @@ def cmd_align(args) -> int:
             for s, t in pairs]
     scored = score_pairs(tm.model, [tm.src_vocab.encode(s) + [EOS_ID] for s, _ in rows],
                          [tm.tgt_vocab.encode(t) + [EOS_ID] for _, t in rows])
-    blocks = [format_alignment_block(s + [EOS], t + [EOS], align)
-              for (s, t), (_, align) in zip(rows, scored)]
+    text = alignment_blocks((s + [EOS], t + [EOS], align)
+                            for (s, t), (_, align) in zip(rows, scored))
     seconds = time.perf_counter() - start
-    replace_into(args.output, "\n\n".join(blocks) + ("\n" if blocks else ""))
+    replace_into(args.output, text)
     print(f"aligned {len(pairs)} pairs in {seconds:.2f} s "
           f"({len(pairs) / max(seconds, 1e-9):.1f} pairs/s) -> {args.output}")
     return 0
@@ -219,10 +222,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CharnmtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CharnmtError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

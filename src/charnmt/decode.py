@@ -323,10 +323,9 @@ def format_alignment_block(source_symbols, target_symbols, matrix: np.ndarray) -
     return "\n".join(lines)
 
 
-def alignment_blocks(result: TranslationResult, tgt_vocab: Vocabulary) -> str:
-    """All sentences' alignment blocks, blank-line separated."""
-    blocks = []
-    for hyp, src_syms in zip(result.hypotheses, result.source_symbols):
-        tgt_syms = [tgt_vocab.symbols[t] for t in hyp.tokens]
-        blocks.append(format_alignment_block(src_syms, tgt_syms, hyp.alignments))
+def alignment_blocks(sentences) -> str:
+    """The alignment blocks of `sentences`, (source symbols, target symbols,
+    weights) triples, blank-line separated: the text `align` and
+    `translate --dump-align` write."""
+    blocks = [format_alignment_block(*sentence) for sentence in sentences]
     return "\n\n".join(blocks) + ("\n" if blocks else "")

@@ -55,12 +55,12 @@ class MergeTable:
 
     @classmethod
     def load(cls, path) -> "MergeTable":
-        return cls.parse(Path(path).read_text(encoding="utf-8"), path)
+        return cls.parse(Path(path).read_bytes(), path)
 
     @classmethod
-    def parse(cls, text: str, origin) -> "MergeTable":
-        """The table a merge file's `text` holds; errors name `origin`."""
-        raw = text.splitlines()
+    def parse(cls, data: bytes, origin) -> "MergeTable":
+        """The table a merge file's UTF-8 `data` holds; errors name `origin`."""
+        raw = data.decode("utf-8").splitlines()
         if not raw or not raw[0].startswith("#"):
             raise CorpusError(f"merge file {origin} missing version comment")
         rules = []
@@ -184,7 +184,8 @@ class Vocabulary:
         self.unit = unit
         self.symbols = list(symbols)
         if tuple(self.symbols[:4]) != RESERVED:
-            raise CorpusError("vocabulary must start with the reserved symbols")
+            raise CorpusError(f"vocabulary must start with the reserved symbols {RESERVED}, "
+                              f"not {tuple(self.symbols[:4])}")
         self.index = {s: i for i, s in enumerate(self.symbols)}
         if len(self.index) != len(self.symbols):
             raise CorpusError("vocabulary contains duplicate symbols")
@@ -201,12 +202,13 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path, unit: str) -> "Vocabulary":
-        return cls.parse(Path(path).read_text(encoding="utf-8"), unit)
+        return cls.parse(Path(path).read_bytes(), unit)
 
     @classmethod
-    def parse(cls, text: str, unit: str) -> "Vocabulary":
-        """The vocabulary a vocabulary file's `text` holds, one symbol a line."""
-        symbols = text.split("\n")
+    def parse(cls, data: bytes, unit: str) -> "Vocabulary":
+        """The vocabulary in a vocabulary file's UTF-8 `data`, one symbol to
+        a line that "\\n" ends (a CRLF file's symbols keep their "\\r")."""
+        symbols = data.decode("utf-8").split("\n")
         if symbols and symbols[-1] == "":
             symbols.pop()
         return cls(unit, symbols)

@@ -12,6 +12,11 @@ length-bucketed batches `make_batches` cuts with seed + e, so a resumed run
 sees the identical batch sequence. A step's log line reaches the disk before
 any checkpoint of it, so a run killed at any instant and resumed in place
 leaves the log of an uninterrupted run.
+
+A run reads its vocabularies and merge table once, as bytes. It parses them
+with `parse_run_files`, as a checkpoint load does, and bundles those same
+bytes into every checkpoint; a resume refuses files whose bytes differ from
+its checkpoint's copies.
 """
 
 from __future__ import annotations
@@ -231,6 +236,20 @@ def _store_from(config: ModelConfig, tensors: dict) -> ParameterStore:
     return store
 
 
+BUNDLED_ROLES = ("src_vocab", "tgt_vocab", "merges")  # TrainPaths fields every checkpoint bundles
+
+
+def parse_run_files(files: dict[str, bytes], model_config: ModelConfig, target_unit: str,
+                    vocabs_origin: str, merges_origin):
+    """Both vocabularies and the merge table in `files` (role -> bytes), sized to
+    fit `model_config`; errors name them `vocabs_origin` and `merges_origin`."""
+    src_vocab = Vocabulary.parse(files["src_vocab"], "subword")
+    tgt_vocab = Vocabulary.parse(files["tgt_vocab"], target_unit)
+    merges = MergeTable.parse(files["merges"], merges_origin)
+    model_config.check_vocab_sizes(len(src_vocab), len(tgt_vocab), vocabs_origin)
+    return src_vocab, tgt_vocab, merges
+
+
 @dataclass
 class TrainedModel:
     """A checkpoint materialized for inference: model plus its data plumbing."""
@@ -253,15 +272,12 @@ def load_trained_model(directory) -> TrainedModel:
     cp = load_checkpoint(directory)
     mc, tc = configs_from_dict(cp.config)
     store = _store_from(mc, cp.tensors)
-    for role in ("src_vocab", "tgt_vocab", "merges"):
+    for role in BUNDLED_ROLES:
         if role not in cp.files:
             raise ConsistencyError(f"checkpoint lacks bundled file {role!r}")
-    # the bytes load_checkpoint verified, not a second read of the files
-    text = {role: data.decode("utf-8") for role, data in cp.files.items()}
-    src_vocab = Vocabulary.parse(text["src_vocab"], "subword")
-    tgt_vocab = Vocabulary.parse(text["tgt_vocab"], tc.target_unit)
-    merges = MergeTable.parse(text["merges"], f"bundled in {directory}")
-    mc.check_vocab_sizes(len(src_vocab), len(tgt_vocab), f"the vocabularies bundled in {directory}")
+    src_vocab, tgt_vocab, merges = parse_run_files(
+        cp.files, mc, tc.target_unit, f"the vocabularies bundled in {directory}",
+        f"bundled in {directory}")
     return TrainedModel(
         model=Model(mc, store), model_config=mc, train_config=tc,
         src_vocab=src_vocab, tgt_vocab=tgt_vocab, merges=merges, state=cp.state,
@@ -333,11 +349,10 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
     `resume` points at a checkpoint directory; architecture fields must
     match the requested config. `echo`, when given, receives each log line.
     """
-    merges = MergeTable.load(paths.merges)
-    src_vocab = Vocabulary.load(paths.src_vocab, "subword")
-    tgt_vocab = Vocabulary.load(paths.tgt_vocab, train_config.target_unit)
-    model_config.check_vocab_sizes(len(src_vocab), len(tgt_vocab),
-                                   f"the vocabulary files {paths.src_vocab}, {paths.tgt_vocab}")
+    files = {role: Path(getattr(paths, role)).read_bytes() for role in BUNDLED_ROLES}
+    src_vocab, tgt_vocab, merges = parse_run_files(
+        files, model_config, train_config.target_unit,
+        f"the vocabulary files {paths.src_vocab}, {paths.tgt_vocab}", paths.merges)
     train_pairs = _segment_pairs(
         load_parallel(paths.train_source, paths.train_target), merges,
         train_config.target_unit,
@@ -373,6 +388,12 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
                              step=cp.state["step"])
         epoch, batch_start = cp.state["epoch"], cp.state["batch"]
         best_nll = float(cp.state.get("best_dev_nll", math.inf))
+        if "best_dev_nll" in cp.state and not math.isfinite(best_nll):
+            raise ConsistencyError(f"checkpoint state 'best_dev_nll' = {best_nll} is not finite")
+        for role in BUNDLED_ROLES:
+            if cp.files.get(role) != files[role]:
+                raise ConsistencyError(f"the run's {role} file {getattr(paths, role)} differs "
+                                       f"from the copy bundled in {resume}")
         _trim_log(log_path, opt.step)
 
     model = Model(model_config, store)
@@ -380,8 +401,6 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
     latest_dir = out_dir / "latest"
     best_dir = out_dir / "best"
     conf = config_dict(model_config, train_config)
-    files = {"src_vocab": paths.src_vocab, "tgt_vocab": paths.tgt_vocab,
-             "merges": paths.merges}
 
     def save(directory, position, moments=True):
         log.flush()

@@ -24,9 +24,7 @@ from charnmt.textpipe import MERGE_FILE_VERSION, RESERVED
 from charnmt.trainer import TrainConfig, config_dict, load_trained_model
 
 
-def _sample(tmp_path):
-    vocab = tmp_path / "vocab.txt"
-    vocab.write_text("<s>\n</s>\n<unk>\n<pad>\na\n", encoding="utf-8")
+def _sample():
     rng = np.random.default_rng(0)
     tensors = {
         "w.matrix": rng.normal(size=(3, 4)).astype(np.float32),
@@ -35,7 +33,7 @@ def _sample(tmp_path):
     }
     config = {"decoder": "base", "d_emb": "64", "step_size": "0.001"}
     state = {"step": 12, "epoch": 1, "batch": 3, "best_dev_nll": 0.25}
-    files = {"src_vocab": vocab}
+    files = {"src_vocab": b"<s>\n</s>\n<unk>\n<pad>\na\n"}
     return config, state, tensors, files
 
 
@@ -62,7 +60,7 @@ def _tensor_entry(directory, name):
 
 class TestRoundTrip:
     def test_everything_survives(self, tmp_path):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
         cp = load_checkpoint(out)
@@ -72,10 +70,10 @@ class TestRoundTrip:
         for name, arr in tensors.items():
             assert cp.tensors[name].dtype == arr.dtype
             assert np.array_equal(cp.tensors[name], arr)
-        assert cp.files == {"src_vocab": files["src_vocab"].read_bytes()}
+        assert cp.files == files
 
     def test_overwrite_existing(self, tmp_path):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
         state2 = dict(state, step=13)
@@ -84,7 +82,7 @@ class TestRoundTrip:
         assert not out.with_name("ckpt.tmp").exists()
 
     def test_failed_swap_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
         before = sorted(p.name for p in tmp_path.iterdir())
@@ -115,7 +113,7 @@ class TestRoundTrip:
         return aside
 
     def test_load_recovers_checkpoint_left_aside(self, tmp_path):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
         aside = self._kill_between_renames(out)
@@ -123,7 +121,7 @@ class TestRoundTrip:
         assert out.is_dir() and not aside.exists()
 
     def test_save_recovers_checkpoint_left_aside(self, tmp_path):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
         self._kill_between_renames(out)
@@ -132,7 +130,7 @@ class TestRoundTrip:
         assert not list(tmp_path.glob(".ckpt.*"))
 
     def test_save_removes_debris_of_killed_saves(self, tmp_path):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
         # a kill inside _write_contents, and one after the swap's second rename
@@ -148,7 +146,7 @@ class TestRoundTrip:
         assert sorted(tmp_path.glob(".*")) == sorted(others)
 
     def test_save_fsyncs_before_the_swap_and_the_parent_after(self, tmp_path, monkeypatch):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
         events = []
@@ -174,7 +172,7 @@ class TestRoundTrip:
         assert ("fsync", tmp_path) in events[swap:]
 
     def test_ambiguous_checkpoints_aside_are_not_recovered(self, tmp_path):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
         aside = self._kill_between_renames(out)
@@ -184,7 +182,7 @@ class TestRoundTrip:
         assert len(list(tmp_path.glob(".ckpt.*.old"))) == 2
 
     def test_float_state_round_trip(self, tmp_path):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
         loaded = load_checkpoint(out).state
@@ -192,14 +190,14 @@ class TestRoundTrip:
         assert isinstance(loaded["step"], int)
 
     def test_bit_identical_blob(self, tmp_path):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         a, b = tmp_path / "a", tmp_path / "b"
         save_checkpoint(a, config, state, tensors, files)
         save_checkpoint(b, config, state, tensors, files)
         assert (a / BLOB_NAME).read_bytes() == (b / BLOB_NAME).read_bytes()
 
     def test_scalar_and_empty_tensors_round_trip(self, tmp_path):
-        _, state, _, files = _sample(tmp_path)
+        _, state, _, files = _sample()
         tensors = {"scalar": np.float64(2.5), "row": np.arange(3, dtype=np.float32),
                    "empty": np.zeros((2, 0), dtype=np.float32)}
         out = save_checkpoint(tmp_path / "ckpt", {}, state, tensors, files)
@@ -234,13 +232,13 @@ class TestReplaceInto:
 
 class TestValidation:
     def test_rejects_non_float_tensor(self, tmp_path):
-        config, state, _, files = _sample(tmp_path)
+        config, state, _, files = _sample()
         with pytest.raises(ContractError):
             save_checkpoint(tmp_path / "c", config, state,
                             {"ids": np.arange(3)}, files)
 
     def test_rejects_control_chars_in_config(self, tmp_path):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         config["bad"] = "two\nlines"
         with pytest.raises(ContractError):
             save_checkpoint(tmp_path / "c", config, state, tensors, files)
@@ -251,7 +249,7 @@ class TestValidation:
             load_checkpoint(tmp_path / "c")
 
     def test_tampered_blob_detected(self, tmp_path):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
         blob = out / BLOB_NAME
@@ -262,7 +260,7 @@ class TestValidation:
             load_checkpoint(out)
 
     def test_tampered_aux_file_named(self, tmp_path):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
         (out / "src_vocab.txt").write_text("altered\n", encoding="utf-8")
@@ -271,7 +269,7 @@ class TestValidation:
         assert "src_vocab" in str(exc.value)
 
     def test_bad_header(self, tmp_path):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
         manifest = out / MANIFEST_NAME
@@ -281,7 +279,7 @@ class TestValidation:
             load_checkpoint(out)
 
     def test_inconsistent_tensor_size(self, tmp_path):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
         manifest = out / MANIFEST_NAME
@@ -292,7 +290,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("field,value", [(3, "12x"), (2, "3,a"), (4, "-4")])
     def test_malformed_number_names_the_tensor(self, tmp_path, field, value):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
         _edit_tensor_entry(out, "w.bias", field, value)
@@ -301,7 +299,7 @@ class TestValidation:
         assert value in str(exc.value)
 
     def test_swapped_offsets_refused(self, tmp_path):
-        _, state, _, files = _sample(tmp_path)
+        _, state, _, files = _sample()
         cfg = ModelConfig(src_vocab_size=7, tgt_vocab_size=6, d_emb=3, d_enc=4, d_dec=5)
         tensors = {name: t.data for name, t in init_params(cfg, 0).items()}
         out = tmp_path / "ckpt"
@@ -314,7 +312,7 @@ class TestValidation:
             load_checkpoint(out)
 
     def test_first_tensor_starts_the_blob(self, tmp_path):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
         _edit_tensor_entry(out, "w.matrix", 3, "4")
@@ -322,7 +320,7 @@ class TestValidation:
             load_checkpoint(out)
 
     def test_tensors_end_at_the_blob_end(self, tmp_path):
-        config, state, tensors, files = _sample(tmp_path)
+        config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
         blob = out / BLOB_NAME
@@ -351,7 +349,7 @@ def _record_opens(monkeypatch) -> list:
 
 
 def test_one_load_opens_the_blob_once(tmp_path, monkeypatch):
-    config, state, tensors, files = _sample(tmp_path)
+    config, state, tensors, files = _sample()
     out = tmp_path / "ckpt"
     save_checkpoint(out, config, state, tensors, files)
     opened = _record_opens(monkeypatch)
@@ -364,11 +362,8 @@ def test_one_trained_model_load_opens_each_bundled_file_once(tmp_path, monkeypat
     """The vocabularies and the merge table are parsed from the bytes whose
     checksum the load verified, not read a second time."""
     symbols = "".join(s + "\n" for s in (*RESERVED, "a"))
-    files = {}
-    for role, text in (("src_vocab", symbols), ("tgt_vocab", symbols),
-                       ("merges", f"{MERGE_FILE_VERSION}\na a\n")):
-        files[role] = tmp_path / f"{role}.in"
-        files[role].write_text(text, encoding="utf-8")
+    files = {"src_vocab": symbols.encode(), "tgt_vocab": symbols.encode(),
+             "merges": f"{MERGE_FILE_VERSION}\na a\n".encode()}
     mc = ModelConfig(src_vocab_size=5, tgt_vocab_size=5, d_emb=2, d_enc=2, d_dec=2)
     tensors = {name: t.data for name, t in init_params(mc, 0).items()}
     out = tmp_path / "ckpt"

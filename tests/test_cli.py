@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import uuid
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from charnmt.errors import ConfigError
 from charnmt.textpipe import EOS_ID, MergeTable, Vocabulary, learn_bpe, segment_line
 from charnmt.trainer import load_trained_model
 
-from test_trainer import DEV_LINES, TRAIN_LINES, corpus_files
+from test_trainer import DEV_LINES, TRAIN_LINES, corpus_files, reorder_vocab
 
 
 def serialize_config(values: dict[str, str]) -> str:
@@ -295,6 +296,55 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err == f"error: checkpoint state {key!r} is missing or not a nonnegative integer\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_resume_non_finite_best_dev_nll_fails_cleanly(self, workspace, tmp_path, capsys,
+                                                          value):
+        bad = tmp_path / "bad"
+        shutil.copytree(workspace["ckpt"], bad)
+        manifest = bad / MANIFEST_NAME
+        text, count = re.subn(r"\nbest_dev_nll = [^\n]*\n", f"\nbest_dev_nll = {value}\n",
+                              manifest.read_text(encoding="utf-8"))
+        assert count == 1
+        manifest.write_text(text, encoding="utf-8")
+        code = main(["train", "--config", str(workspace["config"]),
+                     f"out_dir={tmp_path / 'run'}", "max_steps=4", f"resume={bad}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: checkpoint state 'best_dev_nll' = {value} is not finite\n"
+
+    def test_resume_with_a_different_vocabulary_fails_cleanly(self, workspace, tmp_path,
+                                                             capsys):
+        run = tmp_path / "run"
+        args = ["train", "--config", str(workspace["config"]), f"out_dir={run}"]
+        assert main(args + ["max_steps=2"]) == 0
+        shutil.copytree(run / "latest", tmp_path / "step2")
+        assert main(args + [f"resume={run / 'latest'}"]) == 0
+        log = (run / "train.log").read_bytes()
+        vocab = Path(shutil.copy(workspace["paths"].tgt_vocab, tmp_path / "vocab.tgt"))
+        reorder_vocab(vocab)
+        capsys.readouterr()
+        code = main(args + [f"tgt_vocab={vocab}", f"resume={tmp_path / 'step2'}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the run's tgt_vocab file") and err.count("\n") == 1
+        assert (run / "train.log").read_bytes() == log
+
+    @pytest.mark.parametrize("role", ["config", "tgt_vocab"])
+    def test_non_utf8_input_fails_cleanly(self, workspace, tmp_path, capsys, role):
+        paths = workspace["paths"]
+        vocab = tmp_path / "vocab.tgt"  # its last one-character symbol made a \xff byte
+        vocab.write_bytes(paths.tgt_vocab.read_bytes()[:-2] + b"\xff\n")
+        # sizes given, so that train itself is the first to read the vocabulary
+        config = write_config(tmp_path / "run.conf", paths, src_vocab_size=workspace["n_src"],
+                              tgt_vocab_size=workspace["n_tgt"], out_dir=tmp_path / "run",
+                              **({"tgt_vocab": vocab} if role == "tgt_vocab" else {}))
+        if role == "config":
+            config.write_bytes(config.read_bytes() + b"# \xff\n")
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     def test_resume_decoder_conflict(self, workspace, tmp_path, capsys):
         code = main(["train", "--config", str(workspace["config"]),
                      f"out_dir={tmp_path / 'run'}", "decoder=biscale",
@@ -389,6 +439,16 @@ class TestTranslateCommand:
         assert float(match[2]) > 0
         assert int(match[3]) == closed
         assert match[4] == str(out)
+
+    def test_non_utf8_input_fails_cleanly(self, workspace, tmp_path, capsys):
+        inp = tmp_path / "in.txt"
+        inp.write_bytes(b"ab ba\n\xff\n")
+        out = tmp_path / "out.txt"
+        assert main(["translate", "--model", str(workspace["ckpt"]),
+                     "--input", str(inp), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_failure_leaves_no_output(self, workspace, tmp_path, capsys):
         inp = self._sources(tmp_path)
@@ -600,3 +660,52 @@ def test_one_mutated_input_line_exits_0_or_prints_one_error_line(workspace, data
             code = main(argv)
     assert code == 0 or (code == 1 and err.getvalue().startswith("error:")
                          and err.getvalue().count("\n") == 1), (argv, err.getvalue())
+
+
+# One mutation of one data file of a train command: a vocabulary, the merge
+# table or a corpus file loses, repeats or truncates one line, has it replaced
+# by random text or by a \xff byte, or takes CRLF line endings throughout.
+_DATA_KEYS = ("src_vocab", "tgt_vocab", "merges", "train_source", "train_target",
+              "dev_source", "dev_target")
+
+
+@st.composite
+def _mutated_file(draw, data: bytes) -> bytes:
+    kind = draw(st.sampled_from(["delete", "duplicate", "truncate", "swap", "xff", "crlf"]))
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    lines = data.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    if kind == "delete":
+        new = []
+    elif kind == "duplicate":
+        new = [line, line]
+    elif kind == "truncate":
+        new = [line[: draw(st.integers(0, max(len(line) - 1, 0)))]]
+    elif kind == "swap":
+        new = [draw(st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")),
+                            max_size=8)).encode("utf-8")]
+    else:
+        new = [b"\xff"]
+    return b"".join(l + b"\n" for l in lines[:i] + new + lines[i + 1 :])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_one_mutated_data_file_line_exits_0_or_prints_one_error_line(workspace, data):
+    key = data.draw(st.sampled_from(_DATA_KEYS))
+    paths = workspace["paths"]
+    with tempfile.TemporaryDirectory(dir=workspace["root"]) as tmp:
+        tmp = Path(tmp)
+        copies = {k: tmp / getattr(paths, k).name for k in _DATA_KEYS}
+        for k, path in copies.items():
+            path.write_bytes(getattr(paths, k).read_bytes())
+        copies[key].write_bytes(data.draw(_mutated_file(copies[key].read_bytes())))
+        config = write_config(tmp / "run.conf", replace(paths, **copies, out_dir=tmp / "run"),
+                              max_steps=1, validate_every=1)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["train", "--config", str(config)])
+    assert code == 0 or (code == 1 and err.getvalue().startswith("error:")
+                         and err.getvalue().count("\n") == 1), (key, err.getvalue())

@@ -453,7 +453,8 @@ class TestRendering:
         src, tgt = _toy_vocabs()
         result = translate_corpus([m], ["a b", "c"], src, tgt, MergeTable(),
                                   "character", width=1)
-        text = alignment_blocks(result, tgt)
+        text = alignment_blocks((s, [tgt.symbols[t] for t in h.tokens], h.alignments)
+                                for h, s in zip(result.hypotheses, result.source_symbols))
         assert text.endswith("\n")
         assert "\n\n" in text
         assert len(text.strip().split("\n\n")) == 2

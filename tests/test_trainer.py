@@ -17,7 +17,9 @@ import charnmt.model as model_mod
 import charnmt.trainer as trainer_mod
 from charnmt.checkpoint import MANIFEST_NAME, load_checkpoint, save_checkpoint
 from charnmt.decode import default_max_len, translate_corpus
-from charnmt.errors import ConfigError, ConsistencyError, ContractError, NonFiniteError
+from charnmt.errors import (
+    ConfigError, ConsistencyError, ContractError, CorpusError, NonFiniteError,
+)
 from charnmt.model import ModelConfig
 from charnmt.numerics import Graph, ParameterStore, backward
 from charnmt.textpipe import (
@@ -52,6 +54,7 @@ from charnmt.trainer import (
 from conftest import (
     assert_arrays_close, composite_gru_cell, small_model, use_composite_layers,
 )
+from test_checkpoint import _record_opens
 
 
 def hand_batch(src_rows, tgt_rows) -> Batch:
@@ -344,6 +347,14 @@ def corpus_files(root: Path):
     return paths, len(src_vocab), len(tgt_vocab)
 
 
+def reorder_vocab(path):
+    """Swap the first two non-reserved symbols of vocabulary file `path`: the
+    same size, other ids."""
+    symbols = path.read_text(encoding="utf-8").splitlines()
+    symbols[4], symbols[5] = symbols[5], symbols[4]
+    path.write_text("".join(s + "\n" for s in symbols), encoding="utf-8")
+
+
 def tiny_configs(n_src, n_tgt, **train_kw):
     mc = ModelConfig(src_vocab_size=n_src, tgt_vocab_size=n_tgt,
                      d_emb=6, d_enc=6, d_dec=8)
@@ -634,6 +645,111 @@ class TestTrainLoop:
         assert last < first / 10
 
 
+class TestRunFiles:
+    """A run reads its vocabularies and merge table once, as bytes, parses
+    them as a checkpoint load does, and bundles those bytes into every
+    checkpoint; a resume refuses files that differ from its checkpoint's."""
+
+    def test_every_checkpoint_bundles_the_bytes_read_at_the_start(self, tmp_path, monkeypatch):
+        paths, n_src, n_tgt = corpus_files(tmp_path / "data")
+        start = {role: getattr(paths, role).read_bytes()
+                 for role in ("src_vocab", "tgt_vocab", "merges")}
+        real, bundled = trainer_mod.save_checkpoint, []
+
+        def recording(*args):
+            directory = real(*args)
+            bundled.append((directory.name, load_checkpoint(directory).files))
+            return directory
+
+        monkeypatch.setattr(trainer_mod, "save_checkpoint", recording)
+
+        def edit_after_step_1(line):
+            if line.startswith("1\t"):
+                reorder_vocab(paths.tgt_vocab)
+
+        train(*tiny_configs(n_src, n_tgt, max_steps=3, validate_every=1), paths,
+              echo=edit_after_step_1)
+        assert paths.tgt_vocab.read_bytes() != start["tgt_vocab"]
+        assert {name for name, _ in bundled} == {"best", "latest"} and len(bundled) >= 4
+        for name, files in bundled:
+            assert files == start, name
+
+    def test_resume_with_a_reordered_vocabulary_is_refused_and_leaves_the_log(self, tmp_path):
+        paths, n_src, n_tgt = corpus_files(tmp_path / "data")
+        mc, tc = tiny_configs(n_src, n_tgt, max_steps=4, validate_every=2)
+
+        def stop_at_step_3(line):
+            if line.startswith("3\t"):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            train(mc, tc, paths, echo=stop_at_step_3)
+        log = (paths.out_dir / "train.log").read_bytes()
+        reorder_vocab(paths.tgt_vocab)
+        with pytest.raises(ConsistencyError, match="tgt_vocab"):
+            train(mc, tc, paths, resume=paths.out_dir / "latest")
+        assert (paths.out_dir / "train.log").read_bytes() == log
+
+    @pytest.mark.parametrize("role", ["src_vocab", "tgt_vocab", "merges"])
+    def test_crlf_file_never_yields_a_checkpoint_that_fails_to_load(self, tmp_path, role):
+        paths, n_src, n_tgt = corpus_files(tmp_path / "data")
+        path = getattr(paths, role)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        mc, tc = tiny_configs(n_src, n_tgt, max_steps=1)
+        if role == "merges":  # a merge file's lines may end in CRLF
+            tm = load_trained_model(train(mc, tc, paths).latest_dir)
+            assert tm.merges.rules == learn_bpe(TRAIN_LINES, 2).rules
+        else:  # a vocabulary's symbols would keep their "\r": refused before step 1
+            with pytest.raises(CorpusError, match="reserved symbols"):
+                train(mc, tc, paths)
+            assert not paths.out_dir.exists()
+
+    def test_one_train_call_opens_each_file_once(self, corpus, tmp_path, monkeypatch):
+        paths, n_src, n_tgt = corpus
+        run = TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "run"})
+        opened = _record_opens(monkeypatch)
+        train(*tiny_configs(n_src, n_tgt, max_steps=4, validate_every=2), run)
+        for role in ("src_vocab", "tgt_vocab", "merges"):
+            assert opened.count(str(getattr(paths, role))) == 1, role
+
+    def test_saving_a_loaded_checkpoint_again_writes_identical_files(self, corpus, tmp_path):
+        paths, n_src, n_tgt = corpus
+        run = TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "run"})
+        result = train(*tiny_configs(n_src, n_tgt, max_steps=2, validate_every=2), run)
+        for directory in (result.latest_dir, result.best_dir):
+            cp = load_checkpoint(directory)
+            again = save_checkpoint(tmp_path / f"again-{directory.name}", cp.config, cp.state,
+                                    cp.tensors, cp.files)
+            names = sorted(p.name for p in directory.iterdir())
+            assert sorted(p.name for p in again.iterdir()) == names
+            for name in names:
+                assert (again / name).read_bytes() == (directory / name).read_bytes(), name
+
+    @pytest.mark.parametrize("value", ["nan", "inf", None])
+    def test_resume_refuses_a_non_finite_best_dev_nll(self, corpus, tmp_path, value):
+        paths, n_src, n_tgt = corpus
+        run = TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "run"})
+        mc, tc = tiny_configs(n_src, n_tgt, max_steps=2, validate_every=2)
+        latest = train(mc, tc, run).latest_dir
+        edited = tmp_path / "edited"
+        shutil.copytree(latest, edited)
+        manifest = edited / MANIFEST_NAME
+        text, count = re.subn(r"\nbest_dev_nll = [^\n]*\n",
+                              "\n" if value is None else f"\nbest_dev_nll = {value}\n",
+                              manifest.read_text(encoding="utf-8"))
+        assert count == 1
+        manifest.write_text(text, encoding="utf-8")
+        resumed = replace(tc, max_steps=4)
+        if value is None:  # a checkpoint that never validated
+            result = train(mc, resumed, run, resume=edited)
+            assert result.best_dev_nll is not None and result.best_dir is not None
+        else:
+            log = (run.out_dir / "train.log").read_bytes()
+            with pytest.raises(ConsistencyError, match="'best_dev_nll' = (nan|inf) is not finite"):
+                train(mc, resumed, run, resume=edited)
+            assert (run.out_dir / "train.log").read_bytes() == log
+
+
 class TestMalformedCheckpoint:
     """A checkpoint whose tensors disagree with the parameter spec is refused
     with ConsistencyError naming the tensor, on load and on resume; a config
@@ -649,12 +765,7 @@ class TestMalformedCheckpoint:
         return mc, tc, run, train(mc, tc, run).latest_dir
 
     @staticmethod
-    def copies(directory, cp):
-        """The paths of the bundled files inside checkpoint `directory`."""
-        return {role: Path(directory) / f"{role}.txt" for role in cp.files}
-
-    @classmethod
-    def rewrite(cls, source, target, name, value):
+    def rewrite(source, target, name, value):
         """Copy checkpoint `source` to `target` with tensor `name` replaced by
         `value`, or dropped when `value` is None."""
         cp = load_checkpoint(source)
@@ -663,7 +774,7 @@ class TestMalformedCheckpoint:
             del tensors[name]
         else:
             tensors[name] = value
-        return save_checkpoint(target, cp.config, cp.state, tensors, cls.copies(source, cp))
+        return save_checkpoint(target, cp.config, cp.state, tensors, cp.files)
 
     def test_missing_parameter_on_load(self, trained, tmp_path):
         _, _, _, latest = trained
@@ -680,10 +791,8 @@ class TestMalformedCheckpoint:
     def test_bundled_vocabulary_size_mismatch_on_load(self, trained, tmp_path):
         mc, _, _, latest = trained
         cp = load_checkpoint(latest)
-        grown = tmp_path / "vocab.tgt"
-        grown.write_bytes(cp.files["tgt_vocab"] + b"#\n")
         bad = save_checkpoint(tmp_path / "bad", cp.config, cp.state, cp.tensors,
-                              {**self.copies(latest, cp), "tgt_vocab": grown})
+                              {**cp.files, "tgt_vocab": cp.files["tgt_vocab"] + b"#\n"})
         sizes = (f"{mc.src_vocab_size}/{mc.tgt_vocab_size + 1} source/target symbols, but "
                  f"the model has src_vocab_size={mc.src_vocab_size}, "
                  f"tgt_vocab_size={mc.tgt_vocab_size}")
