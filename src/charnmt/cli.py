@@ -32,17 +32,14 @@ from .textpipe import (
     build_vocab,
     learn_bpe,
     load_parallel,
+    read_lines,
     segment_line,
 )
 from .trainer import load_trained_model, train
 
 
-def _read_lines(path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
-
-
 def cmd_learn_bpe(args) -> int:
-    table = learn_bpe(_read_lines(args.input), args.merges)
+    table = learn_bpe(read_lines(args.input), args.merges)
     replace_into(args.output, table.save)
     print(f"learned {len(table.rules)} merges -> {args.output}")
     return 0
@@ -50,7 +47,7 @@ def cmd_learn_bpe(args) -> int:
 
 def cmd_build_vocab(args) -> int:
     unit = "character" if args.unit == "char" else args.unit
-    lines = _read_lines(args.input)
+    lines = read_lines(args.input)
     if unit == "subword" and args.merges is not None:
         table = MergeTable.load(args.merges)
         lines = [" ".join(segment_line(l, "subword", table)) for l in lines]
@@ -95,7 +92,7 @@ def _load_ensemble(primary, extras):
 
 def cmd_translate(args) -> int:
     first, models = _load_ensemble(args.model, args.ensemble)
-    lines = _read_lines(args.input)
+    lines = read_lines(args.input)
     start = time.perf_counter()
     result = translate_corpus(
         models, lines, first.src_vocab, first.tgt_vocab, first.merges,
@@ -127,13 +124,13 @@ def _parse_buckets(spec: str) -> list[int]:
 
 
 def cmd_evaluate(args) -> int:
-    hyps = _read_lines(args.hyp)
-    refs = _read_lines(args.ref)
+    hyps = read_lines(args.hyp)
+    refs = read_lines(args.ref)
     print(bleu(hyps, refs).summary_line())
     if (args.src is None) != (args.buckets is None):
         raise ConfigError("--src and --buckets must be given together")
     if args.src is not None:
-        sources = _read_lines(args.src)
+        sources = read_lines(args.src)
         rows = bleu_by_source_length(hyps, refs, sources, _parse_buckets(args.buckets))
         sys.stdout.write(length_bleu_tsv(rows))
     return 0

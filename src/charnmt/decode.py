@@ -3,17 +3,19 @@
 All entry points accept a list of models; a single-model decode is the
 one-element case. Ensembles average output *probabilities* arithmetically
 (scores stay log-probabilities) and require identical target vocabularies.
-Alignment rows for an ensemble are the mean of the members' rows.
+Alignment rows for an ensemble are the mean of the members' rows; a single
+model's are its own rows, bit for bit.
 
 Both searches decode a batch of padded sources at once and keep the same
-books: each step gathers the live rows' annotations and decoder states
-(`_take_rows`), each row has its own length cap, rows leave the batch as
-they finish, and tokens and alignment rows are kept as back-pointers read
-out once at the end (`_read_pools`). Greedy search takes the argmax itself,
-so width-1 beam search = greedy is a law between two implementations. Beam
-search steps the live hypotheses of every sentence in one model call per
-step; each sentence keeps its own completed pool, greedy chain and stop
-test. `translate_corpus` and validation feed them chunks of `SEARCH_CHUNK`
+books: each row has its own length cap, sentences leave the batch as they
+finish, annotations are gathered again (`_take_rows`) only when the rows'
+sentences change, and tokens and alignment rows are kept as back-pointers
+read out once at the end (`_read_pools`). Greedy search takes the argmax
+itself, so width-1 beam search = greedy is a law between two
+implementations. Beam search steps a fixed (sentence, slot) grid of rows,
+dead slots scored -inf, through one model call per step; each sentence
+keeps its own completed pool, greedy chain and stop test.
+`translate_corpus` and validation feed them chunks of `SEARCH_CHUNK`
 sentences.
 
 Scores carry no length normalization by default: a hypothesis score is the
@@ -25,7 +27,6 @@ reproduces the search score; such hypotheses carry `truncated=True`.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,9 +91,8 @@ def _check_ensemble(models):
 def _take_rows(obj, rows):
     """The same dataclass (decoder state or ContextSet) with every field
     restricted to `rows`, in that order."""
-    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    return type(obj)(**{k: Tensor(v.data[rows]) if isinstance(v, Tensor) else v[rows]
-                        for k, v in values.items()})
+    return type(obj)(*[Tensor(v.data[rows]) if isinstance(v, Tensor) else v[rows]
+                       for v in vars(obj).values()])
 
 
 def _ensemble_step(models, ctxs, states, y_prev):
@@ -102,7 +102,8 @@ def _ensemble_step(models, ctxs, states, y_prev):
         logps.append(logp.data)
         alphas.append(alpha.data)
         new_states.append(ns)
-    return ensemble_log_probs(logps), np.mean(alphas, axis=0), new_states
+    alpha = alphas[0] if len(alphas) == 1 else np.mean(alphas, axis=0)
+    return ensemble_log_probs(logps), alpha, new_states
 
 
 def _encode_batch(models, source, max_len, lengths):
@@ -129,15 +130,15 @@ def greedy_decode(models, source, lengths=None, max_len=100) -> list[Hypothesis]
     Ties at the argmax resolve to the lowest token index; a row at its cap
     is force-closed with a scored EOS.
     """
-    caps, lengths, ctxs, states = _encode_batch(models, source, max_len, lengths)
+    caps, lengths, all_ctxs, states = _encode_batch(models, source, max_len, lengths)
     sent = np.arange(len(caps))  # sentence of each live row
+    ctxs = all_ctxs
     y_prev = np.full(len(sent), BOS_ID)
     score = np.zeros(len(sent))
     alphas, parents, tokens, pool = [], [], [], []
     t = 0
     while len(sent):
-        avg, alpha, stepped = _ensemble_step(
-            models, [_take_rows(c, sent) for c in ctxs], states, y_prev)
+        avg, alpha, states = _ensemble_step(models, ctxs, states, y_prev)
         alphas.append(alpha)
         closing = caps[sent] == t
         pick = np.where(closing, EOS_ID, avg.argmax(axis=1))
@@ -146,8 +147,11 @@ def greedy_decode(models, source, lengths=None, max_len=100) -> list[Hypothesis]
         pool.append((sent[done], score[done], done, np.full(len(done), t), closing[done]))
         parents.append(stay)
         tokens.append(pick[stay])
-        states = [_take_rows(s, stay) for s in stepped]
-        sent, y_prev, score = sent[stay], pick[stay], score[stay]
+        if len(done):  # rows leave: gather what the rest read
+            states = [_take_rows(s, stay) for s in states]
+            sent = sent[stay]
+            ctxs = [_take_rows(c, sent) for c in all_ctxs]
+        y_prev, score = pick[stay], score[stay]
         t += 1
     return [p[0] for p in _read_pools(len(caps), lengths, pool, alphas, parents, tokens, False)]
 
@@ -171,95 +175,110 @@ def beam_search(models, source, width: int, max_len, lengths=None,
     (no extension can beat it, scores only decrease) or at its cap, where
     survivors are force-finished with a scored EOS, and then leaves the batch.
 
-    The live hypotheses of all sentences step through each model in one
-    call, each row reading its sentence's annotations by index. Selection is
-    one stable sort per step over a (sentences, V * width) layout, token
-    major, so ties fall as above; tokens and alignment rows are kept as
-    back-pointers and read out once the batch is done.
+    The rows of a step are a fixed grid of (active sentence, slot) pairs,
+    sentence major: one slot at step 0 and `width` after it, slot k holding
+    the k-th selected extension. An extension that ends in EOS, or that a
+    sentence short of candidates cannot fill, leaves a dead slot scored
+    -inf, so live slots keep their order. All rows step through each model
+    in one call; annotations are gathered again only when sentences leave
+    or the slot count grows. Selection reads a (sentences, V * slots) layout,
+    token major, by repeated row argmax, which keeps a stable sort's order;
+    tokens and alignment rows are kept as back-pointers and read out once
+    the batch is done.
     """
     if width < 1:
         raise ConfigError(f"beam width must be at least 1, got {width}")
-    caps, lengths, ctxs, states = _encode_batch(models, source, max_len, lengths)
+    caps, lengths, all_ctxs, states = _encode_batch(models, source, max_len, lengths)
     S, V = len(caps), models[0].config.tgt_vocab_size
 
-    sent = np.arange(S)  # sentence of each active position
-    n_live = np.ones(S, dtype=int)  # live rows are grouped by sentence, in slot order
+    sent = np.arange(S)  # active sentences
+    K, first = 1, sent  # slots per sentence; row first[a] + k is slot k of sentence a
+    ctxs = all_ctxs
     y_prev = np.full(S, BOS_ID)
-    row_score = np.zeros(S)
+    row_score = np.zeros(S)  # -inf at dead slots
     chain = np.zeros(S, dtype=int)  # slot tracing the greedy path; -1 once it retires
     best = np.full(S, -np.inf)  # best completed score
+    close_at = set(caps.tolist())
     alphas, parents, tokens = [], [], []  # per step; rows of step t+1 point into step t
     pool = []  # (sentence, score, row, step, truncated) of completed hypotheses
     t = 0
     while len(sent):
         A = len(sent)
-        row_act = np.repeat(np.arange(A), n_live)
-        offset = np.cumsum(n_live) - n_live
-        row_slot = np.arange(len(row_act)) - offset[row_act]
-        avg, alpha, stepped = _ensemble_step(
-            models, [_take_rows(c, sent[row_act]) for c in ctxs], states, y_prev)
+        avg, alpha, stepped = _ensemble_step(models, ctxs, states, y_prev)
         alphas.append(alpha)
+        if t in close_at:  # force-finish the live slots of sentences at their cap
+            closing = np.repeat(caps[sent] == t, K)
+            shut = np.nonzero(closing & (row_score > -np.inf))[0]
+            pool.append((sent[shut // K], row_score[shut] + avg[shut, EOS_ID], shut,
+                         np.full(len(shut), t), np.ones(len(shut), dtype=bool)))
+            row_score = np.where(closing, -np.inf, row_score)
 
-        closing = caps[sent] == t
-        shut = np.nonzero(closing[row_act])[0]
-        pool.append((sent[row_act[shut]], row_score[shut] + avg[shut, EOS_ID], shut,
-                     np.full(len(shut), t), np.ones(len(shut), dtype=bool)))
+        if width == 1:  # the one slot is the greedy chain: its argmax is the pick
+            pick = avg.argmax(axis=1)
+            order, score = pick[:, None], (row_score + avg[first, pick])[:, None]
+        else:
+            grid = (row_score[:, None] + avg).reshape(A, K, V).transpose(0, 2, 1).reshape(A, -1)
+            order, rows = np.empty((A, width), dtype=int), np.arange(A)
+            score = np.empty(order.shape)
+            for k in range(width):  # argmax takes the lowest of equal indices
+                order[:, k] = grid.argmax(axis=1)
+                score[:, k] = grid[rows, order[:, k]]
+                grid[rows, order[:, k]] = -np.inf
+            g_idx = avg[first + chain].argmax(axis=1) * K + chain
+            on_chain = (order == g_idx[:, None]) & (chain >= 0)[:, None]
+            miss = np.nonzero((chain >= 0) & ~on_chain.any(axis=1))[0]
+            order[miss, -1], score[miss, -1] = g_idx[miss], grid[miss, g_idx[miss]]
+            on_chain[miss, -1] = True
+        tok, slot = np.divmod(order, K)
+        parent = first[:, None] + slot
 
-        grid = np.full((A, V, width), -np.inf)
-        grid[row_act, :, row_slot] = row_score[:, None] + avg
-        grid = grid.reshape(A, V * width)
-        order = np.argsort(-grid, axis=1, kind="stable")[:, :width]
-        valid = np.arange(order.shape[1]) < np.minimum(width, n_live * V)[:, None]
-        has = np.nonzero(chain >= 0)[0]
-        g_idx = avg[offset[has] + chain[has]].argmax(axis=1) * width + chain[has]
-        miss = ~(order[has] == g_idx[:, None]).any(axis=1)
-        order[has[miss], valid[has[miss]].sum(axis=1) - 1] = g_idx[miss]
-        tok, slot = order // width, order % width
-        score = np.take_along_axis(grid, order, axis=1)
-        picked = valid & ~closing[:, None]
-        a, j = np.nonzero(picked & (tok == EOS_ID))
-        pool.append((sent[a], score[a, j], offset[a] + slot[a, j], np.full(len(a), t),
+        ended = (tok == EOS_ID) & (score > -np.inf)
+        a, j = np.nonzero(ended)
+        pool.append((sent[a], score[a, j], parent[a, j], np.full(len(a), t),
                      np.zeros(len(a), dtype=bool)))
         np.maximum.at(best, a, score[a, j])
+        score[ended] = -np.inf
+        if width > 1:
+            held = on_chain & (score > -np.inf)
+            chain = np.where(held.any(axis=1), held.argmax(axis=1), -1)
+        top = score.max(axis=1)
+        stay = np.nonzero((top > -np.inf) & (top >= best))[0]
 
-        keep = picked & (tok != EOS_ID)
-        new_slot = np.cumsum(keep, axis=1) - 1
-        on_chain = order[has] == g_idx[:, None]
-        chain[:] = -1
-        chain[has] = np.where((keep[has] & on_chain).any(axis=1),
-                              new_slot[has][on_chain], -1)
-        n_live = keep.sum(axis=1)
-        stay = ~closing & (n_live > 0) & (np.where(keep, score, -np.inf).max(axis=1) >= best)
-        a, j = np.nonzero(keep & stay[:, None])
-        parents.append(offset[a] + slot[a, j])
-        tokens.append(tok[a, j])
+        parents.append(parent[stay].ravel())
+        tokens.append(tok[stay].ravel())
         states = [_take_rows(s, parents[-1]) for s in stepped]
-        y_prev, row_score = tokens[-1], score[a, j]
-        sent, n_live, chain, best = sent[stay], n_live[stay], chain[stay], best[stay]
+        y_prev, row_score = tokens[-1], score[stay].ravel()
+        chain, best = chain[stay], best[stay]
+        if len(stay) < A or K < width:
+            sent, K = sent[stay], width
+            first = np.arange(len(sent)) * K
+            ctxs = [_take_rows(c, np.repeat(sent, K)) for c in all_ctxs]
         t += 1
 
     return _read_pools(S, lengths, pool, alphas, parents, tokens, length_normalize)
 
 
 def _read_pools(S, lengths, pool, alphas, parents, tokens, length_normalize):
-    """Follow every completed hypothesis's back-pointers and rank each pool."""
+    """Follow every completed hypothesis's back-pointers and rank each pool.
+    Rows are numbered across steps: one walk finds each hypothesis's row at
+    every step it spans, and one gather per field reads them all."""
     sent, score, row, step, truncated = map(np.concatenate, zip(*pool))
-    size = step + 1
-    toks = np.full((len(row), size.max()), EOS_ID)
-    aligns = np.zeros((len(row), size.max(), alphas[0].shape[1]), dtype=alphas[0].dtype)
-    for u in range(size.max() - 1, -1, -1):
-        on = step >= u
-        aligns[on, u] = alphas[u][row[on]]
-        if u:
-            toks[on, u - 1] = tokens[u - 1][row[on]]
-            row[on] = parents[u - 1][row[on]]
-    key = score / size if length_normalize else score
+    starts = np.cumsum([0] + [len(a) for a in alphas])
+    up = np.concatenate([np.arange(starts[1])] + [p + s for p, s in zip(parents, starts)])
+    at, g = np.zeros((len(row), step.max() + 1), dtype=int), starts[step] + row
+    every = np.arange(len(row))
+    for back in range(at.shape[1]):  # a step-0 row is its own parent: the walk stays
+        at[every, np.maximum(step - back, 0)] = g
+        g = up[g]
+    toks = np.concatenate([np.full(starts[1], EOS_ID)] + tokens)[at[:, 1:]].tolist()
+    aligns = np.concatenate(alphas)[at]
+    key = score / (step + 1) if length_normalize else score
+    sizes, scores, flags, sents = step.tolist(), score.tolist(), truncated.tolist(), sent.tolist()
     pools = [[] for _ in range(S)]
-    for e in np.lexsort((-key, sent)):
-        pools[sent[e]].append(Hypothesis(
-            tokens=toks[e, :size[e]].tolist(), score=float(score[e]),
-            alignments=aligns[e, :size[e], :lengths[sent[e]]].copy(),
-            truncated=bool(truncated[e])))
+    for e in np.lexsort((-key, sent)).tolist():
+        s, n = sents[e], sizes[e]
+        pools[s].append(Hypothesis(toks[e][:n] + [EOS_ID], scores[e],
+                                   aligns[e, :n + 1, :lengths[s]].copy(), flags[e]))
     return pools
 
 

@@ -68,7 +68,7 @@ class MergeTable:
             if not line:
                 continue
             parts = line.split(" ")
-            if len(parts) != 2:
+            if len(parts) != 2 or "" in parts:
                 raise CorpusError(f"merge file {origin}:{lineno}: expected two symbols")
             rules.append((parts[0], parts[1]))
         return cls(rules=rules)
@@ -258,9 +258,20 @@ class Batch:
         return (t[None, :] < self.target_lengths[:, None]).astype(np.float64)
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, as `Path.read_text().splitlines()`
+    gives them; a byte that is not UTF-8 raises a CorpusError naming
+    PATH:LINE."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise CorpusError(f"{path}:{line}: not UTF-8") from None
+
+
 def load_parallel(src_path, tgt_path) -> list[tuple[str, str]]:
-    src_lines = Path(src_path).read_text(encoding="utf-8").splitlines()
-    tgt_lines = Path(tgt_path).read_text(encoding="utf-8").splitlines()
+    src_lines, tgt_lines = read_lines(src_path), read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise CorpusError(
             f"line count mismatch: {src_path} has {len(src_lines)} lines, "

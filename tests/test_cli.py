@@ -185,6 +185,16 @@ class TestSmallCommands:
                      "--src", str(f)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("role", ["hyp", "ref"])
+    def test_evaluate_non_utf8_input_names_file_and_line(self, tmp_path, capsys, role):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("a b\nc d\ne f\n", encoding="utf-8")
+        bad.write_bytes(b"a b\nc d\ne\xff f\n")
+        files = {"hyp": good, "ref": good, role: bad}
+        assert main(["evaluate", "--hyp", str(files["hyp"]), "--ref", str(files["ref"])]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}:3: not UTF-8\n" and captured.out == ""
+
     def test_bad_bucket_spec(self, tmp_path, capsys):
         f = tmp_path / "text.txt"
         f.write_text("a b c d\n", encoding="utf-8")
@@ -345,6 +355,20 @@ class TestTrainCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("rule", ["a ", " b"])
+    def test_merge_rule_with_an_empty_symbol_fails_before_step_1(self, workspace, tmp_path,
+                                                                  capsys, rule):
+        paths = workspace["paths"]
+        merges = tmp_path / "merges.txt"
+        merges.write_bytes(paths.merges.read_bytes() + f"{rule}\n".encode())
+        lineno = len(paths.merges.read_bytes().splitlines()) + 1
+        config = write_config(tmp_path / "run.conf", paths, merges=merges,
+                              out_dir=tmp_path / "run")
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: merge file {merges}:{lineno}: expected two symbols\n"
+        assert not (tmp_path / "run").exists()
+
     def test_resume_decoder_conflict(self, workspace, tmp_path, capsys):
         code = main(["train", "--config", str(workspace["config"]),
                      f"out_dir={tmp_path / 'run'}", "decoder=biscale",
@@ -448,6 +472,7 @@ class TestTranslateCommand:
                      "--input", str(inp), "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{inp}:2: not UTF-8" in err
         assert not out.exists()
 
     def test_failure_leaves_no_output(self, workspace, tmp_path, capsys):

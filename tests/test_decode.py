@@ -17,7 +17,7 @@ from charnmt.decode import (
 )
 from charnmt.errors import ConfigError, ConsistencyError, EnsembleError
 from charnmt.model import score_pairs
-from charnmt.textpipe import EOS_ID, RESERVED, MergeTable, Vocabulary, pad_rows
+from charnmt.textpipe import BOS_ID, EOS_ID, RESERVED, MergeTable, Vocabulary, pad_rows
 
 from conftest import random_source, reference_beam_search, small_model
 
@@ -244,6 +244,32 @@ class TestBatchedAgainstReference:
         pools = assert_matches_reference([m], sources, width, [3, 5, 4, 6])
         assert all(len({h.score for h in pool}) < len(pool) for pool in pools)
 
+    @pytest.mark.parametrize("width", [2, 5])
+    @pytest.mark.parametrize("decoder", ["base", "biscale"])
+    @pytest.mark.parametrize("precision", ["wide", "narrow"])
+    def test_eos_takes_some_slots_and_the_search_goes_on(self, monkeypatch, width, decoder,
+                                                         precision):
+        # token 4 is near certain and EOS the runner-up, so at each step the
+        # best chain's EOS extension retires while the chain itself goes on
+        m = small_model(53, decoder=decoder, precision=precision)
+        bias = np.zeros(9)
+        bias[4], bias[EOS_ID] = 5.0, 2.0
+        m.store.assign("out.b_logit", bias)
+        fed = []
+        step = decode._ensemble_step
+
+        def spy(models, ctxs, states, y_prev):
+            fed.append(np.asarray(y_prev).reshape(-1, 1 if not fed else width))
+            return step(models, ctxs, states, y_prev)
+
+        monkeypatch.setattr(decode, "_ensemble_step", spy)
+        sources = mixed_sources(53, count=6)
+        pools = assert_matches_reference([m], sources, width, [8, 12, 5, 12, 9, 12])
+        # a slot whose extension ended is fed EOS: some step ran such a dead
+        # slot beside a live one of the same sentence
+        assert any(((y == EOS_ID).any(axis=1) & (y != EOS_ID).any(axis=1)).any() for y in fed)
+        assert all(len(pool) > 1 for pool in pools)
+
     def test_width_beyond_first_step_candidates(self):
         m = small_model(51)
         sources = mixed_sources(51, count=3)
@@ -329,6 +355,23 @@ class TestGreedy:
             assert hyp.tokens == want.tokens and hyp.truncated == want.truncated
             np.testing.assert_allclose(hyp.score, want.score, rtol=0, atol=1e-10)
             np.testing.assert_allclose(hyp.alignments, want.alignments, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("decoder", ["base", "biscale"])
+    @pytest.mark.parametrize("precision", ["wide", "narrow"])
+    def test_one_model_alignments_are_its_own_alpha_rows(self, decoder, precision):
+        # one sentence at width 1 steps one row at a time, as the re-stepping
+        # below does, so the rows must agree bit for bit
+        m = small_model(72, decoder=decoder, precision=precision)
+        for src in mixed_sources(72):
+            hyp = beam_search([m], src, 1, 10)[0][0]
+            ctx, state = m.encode(src)
+            rows, y_prev = [], BOS_ID
+            for tok in hyp.tokens:
+                _, state, alpha = m.step_log_probs(np.array([y_prev]), state, ctx)
+                rows.append(alpha.data[0])
+                y_prev = tok
+            assert hyp.alignments.dtype == m.store.dtype
+            assert np.array_equal(hyp.alignments, np.array(rows))
 
     def test_batched_alignments_cover_own_source_only(self):
         m = small_model(61)

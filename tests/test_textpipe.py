@@ -25,6 +25,7 @@ from charnmt.textpipe import (
     learn_bpe,
     load_parallel,
     make_batches,
+    read_lines,
     segment_line,
     split_word,
 )
@@ -204,6 +205,12 @@ class TestMergeFile:
         with pytest.raises(CorpusError):
             MergeTable.load(path)
 
+    @pytest.mark.parametrize("rule", [b"a ", b" b", b" "])
+    def test_rule_with_an_empty_symbol_rejected(self, rule):
+        # such a rule can never apply, so a truncated line would load silently
+        with pytest.raises(CorpusError, match=r"^merge file x:3: expected two symbols$"):
+            MergeTable.parse(b"#version: charnmt-bpe 1\na b\n" + rule + b"\n", "x")
+
 
 class TestVocabulary:
     def test_character_unit_includes_space(self):
@@ -285,12 +292,36 @@ class TestSegmentLine:
         assert segment_line("ab cd", "subword", table) == ["ab", "c@@", "d"]
 
 
+class TestReadLines:
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="ab \n\r\x0b\x1c\x85\u2028\u00e9"))
+    def test_valid_text_splits_as_read_text_does(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("lines") / "f.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_lines(path) == path.read_text(encoding="utf-8").splitlines()
+
+    @pytest.mark.parametrize("data, line", [(b"ab\xffc", 1), (b"ab\n\xff\n", 2),
+                                            (b"a\rb\r\n\xe9\n", 3), (b"a\n\n\xc3", 3)])
+    def test_non_utf8_byte_names_path_and_line(self, tmp_path, data, line):
+        path = tmp_path / "f.txt"
+        path.write_bytes(data)
+        with pytest.raises(CorpusError) as exc:
+            read_lines(path)
+        assert str(exc.value) == f"{path}:{line}: not UTF-8"
+
+
 class TestLoadParallel:
     def test_aligned(self, tmp_path):
         (tmp_path / "a.txt").write_text("x\ny\n", encoding="utf-8")
         (tmp_path / "b.txt").write_text("u\nv\n", encoding="utf-8")
         pairs = load_parallel(tmp_path / "a.txt", tmp_path / "b.txt")
         assert pairs == [("x", "u"), ("y", "v")]
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        (tmp_path / "a.txt").write_text("x\ny\n", encoding="utf-8")
+        (tmp_path / "b.txt").write_bytes(b"u\r\nv\xffw\n")
+        with pytest.raises(CorpusError, match=r"b\.txt:2: not UTF-8$"):
+            load_parallel(tmp_path / "a.txt", tmp_path / "b.txt")
 
     def test_mismatch_names_files(self, tmp_path):
         (tmp_path / "a.txt").write_text("x\ny\n", encoding="utf-8")
