@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, IntegrityError
+from .textpipe import decode_text
 
 MANIFEST_NAME = "manifest.txt"
 BLOB_NAME = "params.bin"
@@ -206,7 +207,7 @@ def load_checkpoint(directory) -> Checkpoint:
     manifest = directory / MANIFEST_NAME
     if not manifest.is_file():
         raise IntegrityError(f"{directory} is not a checkpoint (no {MANIFEST_NAME})")
-    sections = _parse_manifest(manifest.read_text(encoding="utf-8"), str(manifest))
+    sections = _parse_manifest(decode_text(manifest.read_bytes(), manifest), str(manifest))
 
     config = _parse_kv(sections["config"], "config")
     state = {}

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .model import ModelConfig
-from .textpipe import Vocabulary
+from .textpipe import Vocabulary, decode_text
 from .trainer import TrainConfig, TrainPaths, typed_config
 
 PATH_KEYS = tuple(f.name for f in fields(TrainPaths))
@@ -71,7 +71,7 @@ class RunConfig:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file {path} does not exist")
-        return cls(parse_config_text(path.read_text(encoding="utf-8"), str(path)))
+        return cls(parse_config_text(decode_text(path.read_bytes(), path), str(path)))
 
     def apply_overrides(self, tokens) -> None:
         self.values.update(parse_overrides(tokens))

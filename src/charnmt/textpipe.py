@@ -60,7 +60,7 @@ class MergeTable:
     @classmethod
     def parse(cls, data: bytes, origin) -> "MergeTable":
         """The table a merge file's UTF-8 `data` holds; errors name `origin`."""
-        raw = data.decode("utf-8").splitlines()
+        raw = decode_text(data, origin).splitlines()
         if not raw or not raw[0].startswith("#"):
             raise CorpusError(f"merge file {origin} missing version comment")
         rules = []
@@ -202,16 +202,20 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path, unit: str) -> "Vocabulary":
-        return cls.parse(Path(path).read_bytes(), unit)
+        return cls.parse(Path(path).read_bytes(), unit, path)
 
     @classmethod
-    def parse(cls, data: bytes, unit: str) -> "Vocabulary":
+    def parse(cls, data: bytes, unit: str, origin) -> "Vocabulary":
         """The vocabulary in a vocabulary file's UTF-8 `data`, one symbol to
-        a line that "\\n" ends (a CRLF file's symbols keep their "\\r")."""
-        symbols = data.decode("utf-8").split("\n")
+        a line that "\\n" ends (a CRLF file's symbols keep their "\\r");
+        errors name `origin`."""
+        symbols = decode_text(data, origin).split("\n")
         if symbols and symbols[-1] == "":
             symbols.pop()
-        return cls(unit, symbols)
+        try:
+            return cls(unit, symbols)
+        except CorpusError as exc:
+            raise CorpusError(f"{origin}: {exc}") from None
 
 
 def segment_line(line: str, unit: str, merges: MergeTable | None = None) -> list[str]:
@@ -258,16 +262,20 @@ class Batch:
         return (t[None, :] < self.target_lengths[:, None]).astype(np.float64)
 
 
-def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, as `Path.read_text().splitlines()`
-    gives them; a byte that is not UTF-8 raises a CorpusError naming
-    PATH:LINE."""
-    data = Path(path).read_bytes()
+def decode_text(data: bytes, origin) -> str:
+    """`data` decoded as UTF-8; a byte that is not UTF-8 raises a
+    CorpusError naming ORIGIN:LINE."""
     try:
-        return data.decode("utf-8").splitlines()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
-        raise CorpusError(f"{path}:{line}: not UTF-8") from None
+        raise CorpusError(f"{origin}:{line}: not UTF-8") from None
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, as `Path.read_text().splitlines()`
+    gives them; see `decode_text`."""
+    return decode_text(Path(path).read_bytes(), path).splitlines()
 
 
 def load_parallel(src_path, tgt_path) -> list[tuple[str, str]]:

@@ -38,6 +38,7 @@ from .textpipe import (
     EOS_ID,
     MergeTable,
     Vocabulary,
+    decode_text,
     load_parallel,
     make_batches,
     pad_rows,
@@ -240,12 +241,13 @@ BUNDLED_ROLES = ("src_vocab", "tgt_vocab", "merges")  # TrainPaths fields every 
 
 
 def parse_run_files(files: dict[str, bytes], model_config: ModelConfig, target_unit: str,
-                    vocabs_origin: str, merges_origin):
+                    origins: dict, vocabs_origin: str):
     """Both vocabularies and the merge table in `files` (role -> bytes), sized to
-    fit `model_config`; errors name them `vocabs_origin` and `merges_origin`."""
-    src_vocab = Vocabulary.parse(files["src_vocab"], "subword")
-    tgt_vocab = Vocabulary.parse(files["tgt_vocab"], target_unit)
-    merges = MergeTable.parse(files["merges"], merges_origin)
+    fit `model_config`; errors name each file `origins[role]` and the two
+    vocabularies together `vocabs_origin`."""
+    src_vocab = Vocabulary.parse(files["src_vocab"], "subword", origins["src_vocab"])
+    tgt_vocab = Vocabulary.parse(files["tgt_vocab"], target_unit, origins["tgt_vocab"])
+    merges = MergeTable.parse(files["merges"], origins["merges"])
     model_config.check_vocab_sizes(len(src_vocab), len(tgt_vocab), vocabs_origin)
     return src_vocab, tgt_vocab, merges
 
@@ -276,8 +278,9 @@ def load_trained_model(directory) -> TrainedModel:
         if role not in cp.files:
             raise ConsistencyError(f"checkpoint lacks bundled file {role!r}")
     src_vocab, tgt_vocab, merges = parse_run_files(
-        cp.files, mc, tc.target_unit, f"the vocabularies bundled in {directory}",
-        f"bundled in {directory}")
+        cp.files, mc, tc.target_unit,
+        {role: f"{role} bundled in {directory}" for role in BUNDLED_ROLES},
+        f"the vocabularies bundled in {directory}")
     return TrainedModel(
         model=Model(mc, store), model_config=mc, train_config=tc,
         src_vocab=src_vocab, tgt_vocab=tgt_vocab, merges=merges, state=cp.state,
@@ -321,7 +324,7 @@ def _trim_log(path: Path, step: int) -> None:
     if not path.exists():
         return
     kept = []
-    for line in path.read_text(encoding="utf-8").splitlines(keepends=True):
+    for line in decode_text(path.read_bytes(), path).splitlines(keepends=True):
         if not line.endswith("\n") or int(line.split("\t", 1)[0]) > step:
             break
         kept.append(line)
@@ -352,7 +355,8 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
     files = {role: Path(getattr(paths, role)).read_bytes() for role in BUNDLED_ROLES}
     src_vocab, tgt_vocab, merges = parse_run_files(
         files, model_config, train_config.target_unit,
-        f"the vocabulary files {paths.src_vocab}, {paths.tgt_vocab}", paths.merges)
+        {role: getattr(paths, role) for role in BUNDLED_ROLES},
+        f"the vocabulary files {paths.src_vocab}, {paths.tgt_vocab}")
     train_pairs = _segment_pairs(
         load_parallel(paths.train_source, paths.train_target), merges,
         train_config.target_unit,

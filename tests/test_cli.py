@@ -339,20 +339,23 @@ class TestTrainCommand:
         assert err.startswith("error: the run's tgt_vocab file") and err.count("\n") == 1
         assert (run / "train.log").read_bytes() == log
 
-    @pytest.mark.parametrize("role", ["config", "tgt_vocab"])
+    @pytest.mark.parametrize("role", ["config", "src_vocab", "tgt_vocab", "merges"])
     def test_non_utf8_input_fails_cleanly(self, workspace, tmp_path, capsys, role):
         paths = workspace["paths"]
-        vocab = tmp_path / "vocab.tgt"  # its last one-character symbol made a \xff byte
-        vocab.write_bytes(paths.tgt_vocab.read_bytes()[:-2] + b"\xff\n")
-        # sizes given, so that train itself is the first to read the vocabulary
+        files = {}
+        if role != "config":  # the last byte before the final newline made a \xff byte
+            files[role] = tmp_path / getattr(paths, role).name
+            files[role].write_bytes(getattr(paths, role).read_bytes()[:-2] + b"\xff\n")
+        # sizes given, so that train itself is the first to read the vocabularies
         config = write_config(tmp_path / "run.conf", paths, src_vocab_size=workspace["n_src"],
                               tgt_vocab_size=workspace["n_tgt"], out_dir=tmp_path / "run",
-                              **({"tgt_vocab": vocab} if role == "tgt_vocab" else {}))
+                              **files)
         if role == "config":
             config.write_bytes(config.read_bytes() + b"# \xff\n")
+        bad = files.get(role, config)
+        line = len(bad.read_bytes().splitlines())
         assert main(["train", "--config", str(config)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: {bad}:{line}: not UTF-8\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("rule", ["a ", " b"])
@@ -733,4 +736,5 @@ def test_one_mutated_data_file_line_exits_0_or_prints_one_error_line(workspace, 
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["train", "--config", str(config)])
     assert code == 0 or (code == 1 and err.getvalue().startswith("error:")
-                         and err.getvalue().count("\n") == 1), (key, err.getvalue())
+                         and err.getvalue().count("\n") == 1
+                         and str(copies[key]) in err.getvalue()), (key, err.getvalue())

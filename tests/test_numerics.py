@@ -248,6 +248,23 @@ def _primitive_cases():
     case("output_layer", out_inputs, out)
     case("output_layer_targets", out_inputs,
          lambda s: out(s, np.array([[0, 5, 2], [5, 5, 1]])))
+
+    # Weights that are outputs of other nodes: a layer's deferred weight and
+    # bias terms must be summed before the backward of the node that made them.
+    def gru_from_nodes(s):
+        w = dict(s.items(), W_c=nm.tanh(s["p"]), b_u=nm.scale(s["q"], 3.0))
+        return nm.gru(*(w[name] for name in gru_inputs))
+    case("gru_weight_from_node",
+         {**{k: v for k, v in gru_inputs.items() if k not in ("W_c", "b_u")},
+          "p": _rand(rng, 4, 5), "q": _rand(rng, 5)}, gru_from_nodes)
+    case("attention_weight_from_node",
+         {**{k: v for k, v in att_inputs.items() if k != "W_query"}, "p": _rand(rng, 6, 5)},
+         lambda s: nm.attention(s["y"], s["q"], s["keys"], s["ann"], att_mask, s["W_emb"],
+                                nm.scale(s["p"], 2.0), s["b"], s["v"]))
+    # ids repeat within each call and across the two calls on one table
+    case("embed_repeated_ids", {"t": _rand(rng, 4, 3)},
+         lambda s: (nm.embed(s["t"], np.array([2, 0, 2, 1])),
+                    nm.embed(s["t"], np.array([[1, 2], [2, 2]]))))
     return cases
 
 

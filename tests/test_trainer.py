@@ -20,7 +20,7 @@ from charnmt.decode import default_max_len, translate_corpus
 from charnmt.errors import (
     ConfigError, ConsistencyError, ContractError, CorpusError, NonFiniteError,
 )
-from charnmt.model import ModelConfig
+from charnmt.model import Model, ModelConfig
 from charnmt.numerics import Graph, ParameterStore, backward
 from charnmt.textpipe import (
     BOS_ID,
@@ -271,6 +271,23 @@ class TestAdam:
             adam_step(a_store, {"w": g.copy()}, a_opt, config)
             adam_step(b_store, {"w": g.copy()}, b_opt, config)
         np.testing.assert_array_equal(a_store["w"].data, b_store["w"].data)
+
+    @pytest.mark.parametrize("decoder", ["base", "biscale"])
+    def test_gradients_after_a_step_equal_a_fresh_stores(self, decoder):
+        # backward caches each weight's transpose on its Tensor; none may outlive a step
+        def grads(model):
+            with Graph(model.store) as graph:
+                loss = batch_nll(model, TestFusedGruStep.RAGGED)
+            return {k: t.data for k, t in backward(graph, loss).items()}
+
+        m = small_model(6, decoder=decoder)
+        adam_step(m.store, grads(m), OptimizerState.fresh(m.store), TrainConfig(step_size=0.05))
+        fresh = ParameterStore(m.store.precision)
+        for name, t in m.store.items():
+            fresh.add(name, t.data.copy())
+        got, want = grads(m), grads(Model(m.config, fresh))
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
 
 class TestTrainConfig:
