@@ -90,7 +90,6 @@ class RunConfig:
             p = getattr(paths, key)
             if not p.is_file():
                 raise ConfigError(f"{key}: no such file {p}")
-        # not checked here: loading it renames back a checkpoint a kill left aside
         resume = Path(self.values["resume"]) if "resume" in self.values else None
 
         train_config = typed_config(TrainConfig, self.values)

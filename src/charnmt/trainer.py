@@ -21,6 +21,7 @@ its checkpoint's copies.
 
 from __future__ import annotations
 
+import fcntl
 import math
 import os
 from dataclasses import asdict, dataclass, fields
@@ -398,7 +399,6 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
             if cp.files.get(role) != files[role]:
                 raise ConsistencyError(f"the run's {role} file {getattr(paths, role)} differs "
                                        f"from the copy bundled in {resume}")
-        _trim_log(log_path, opt.step)
 
     model = Model(model_config, store)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -424,49 +424,61 @@ def train(model_config: ModelConfig, train_config: TrainConfig, paths: TrainPath
     position = (epoch, batch_start)
     label_positions = real_positions = 0  # over the batches this call trains on
     dev_nll = None
-    with open(log_path, "w" if resume is None else "a", encoding="utf-8") as log:
-        while opt.step < train_config.max_steps:
-            batch, cur_epoch, cur_index, position = next(stream)
-            labels = batch.label_mask()
-            label_positions += labels.size
-            real_positions += int(labels.sum())
-            with Graph(store) as graph:
-                loss = batch_nll(model, batch)
-            where = f"at step {opt.step + 1} (epoch {cur_epoch}, batch {cur_index})"
-            loss_value = float(loss.data)
-            if not math.isfinite(loss_value):
-                raise NonFiniteError(f"non-finite training loss {where}")
-            grads = {k: t.data for k, t in backward(graph, loss).items()}
-            grads, grad_norm = clip_gradients(grads, train_config.clip)
-            if not math.isfinite(grad_norm):
-                raise NonFiniteError(f"non-finite gradient norm {where}")
-            adam_step(store, grads, opt, train_config)
+    # one writer per out_dir; the kernel drops the lock when its holder dies
+    with open(out_dir / ".lock", "a+", encoding="utf-8") as lock:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            lock.seek(0)
+            raise ConsistencyError(f"{out_dir} is in use by another charnmt train "
+                                   f"(pid {lock.read().strip()})") from None
+        lock.truncate(0)
+        print(os.getpid(), file=lock, flush=True)
+        if resume is not None:
+            _trim_log(log_path, opt.step)
+        with open(log_path, "w" if resume is None else "a", encoding="utf-8") as log:
+            while opt.step < train_config.max_steps:
+                batch, cur_epoch, cur_index, position = next(stream)
+                labels = batch.label_mask()
+                label_positions += labels.size
+                real_positions += int(labels.sum())
+                with Graph(store) as graph:
+                    loss = batch_nll(model, batch)
+                where = f"at step {opt.step + 1} (epoch {cur_epoch}, batch {cur_index})"
+                loss_value = float(loss.data)
+                if not math.isfinite(loss_value):
+                    raise NonFiniteError(f"non-finite training loss {where}")
+                grads = {k: t.data for k, t in backward(graph, loss).items()}
+                grads, grad_norm = clip_gradients(grads, train_config.clip)
+                if not math.isfinite(grad_norm):
+                    raise NonFiniteError(f"non-finite gradient norm {where}")
+                adam_step(store, grads, opt, train_config)
 
-            dev_nll = dev_bleu = None
-            if opt.step % train_config.validate_every == 0:
-                dev_nll = _dev_nll(model, dev_batches)
-                dev_bleu = greedy_corpus_bleu(
-                    model, dev_src_lines, dev_ref_lines, src_vocab, merges,
-                    tgt_vocab, train_config.target_unit,
-                )
+                dev_nll = dev_bleu = None
+                if opt.step % train_config.validate_every == 0:
+                    dev_nll = _dev_nll(model, dev_batches)
+                    dev_bleu = greedy_corpus_bleu(
+                        model, dev_src_lines, dev_ref_lines, src_vocab, merges,
+                        tgt_vocab, train_config.target_unit,
+                    )
 
-            line = "\t".join([
-                str(opt.step),
-                f"{loss_value:.6f}",
-                f"{grad_norm:.6f}",
-                "-" if dev_nll is None else f"{dev_nll:.6f}",
-                "-" if dev_bleu is None else f"{dev_bleu:.4f}",
-            ])
-            log.write(line + "\n")
-            if dev_nll is not None:
-                if dev_nll < best_nll:
-                    best_nll = dev_nll
-                    save(best_dir, position, moments=False)
+                line = "\t".join([
+                    str(opt.step),
+                    f"{loss_value:.6f}",
+                    f"{grad_norm:.6f}",
+                    "-" if dev_nll is None else f"{dev_nll:.6f}",
+                    "-" if dev_bleu is None else f"{dev_bleu:.4f}",
+                ])
+                log.write(line + "\n")
+                if dev_nll is not None:
+                    if dev_nll < best_nll:
+                        best_nll = dev_nll
+                        save(best_dir, position, moments=False)
+                    save(latest_dir, position)
+                if echo is not None:
+                    echo(line)
+            if dev_nll is None:  # else the last step's validation saved `latest`
                 save(latest_dir, position)
-            if echo is not None:
-                echo(line)
-        if dev_nll is None:  # else the last step's validation saved `latest`
-            save(latest_dir, position)
     return TrainResult(
         steps=opt.step,
         latest_dir=latest_dir,

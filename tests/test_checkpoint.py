@@ -4,20 +4,13 @@ import builtins
 import hashlib
 import io
 import os
-import shutil
-import uuid
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import charnmt.checkpoint as checkpoint_mod
-from charnmt.checkpoint import (
-    BLOB_NAME,
-    MANIFEST_NAME,
-    load_checkpoint,
-    replace_into,
-    save_checkpoint,
-)
+from charnmt.checkpoint import FILE_NAME, HEADER_SIZE, load_checkpoint, replace_into, save_checkpoint
 from charnmt.errors import ContractError, IntegrityError
 from charnmt.model import ModelConfig, init_params
 from charnmt.textpipe import MERGE_FILE_VERSION, RESERVED
@@ -37,21 +30,47 @@ def _sample():
     return config, state, tensors, files
 
 
-def _edit_tensor_entry(directory, name, field, value):
+def read_manifest(directory) -> tuple[str, int]:
+    """The manifest text of checkpoint `directory`, without its NUL padding,
+    and the byte at which its payload starts."""
+    data = (Path(directory) / FILE_NAME).read_bytes()
+    start = HEADER_SIZE + int(data[:HEADER_SIZE].split()[3])
+    return data[HEADER_SIZE:start].rstrip(b"\0").decode("utf-8"), start
+
+
+def edit_manifest(directory, edit, stale=False, payload_tail=b""):
+    """Rewrite checkpoint `directory`'s manifest as `edit(text)` returns it,
+    re-padded, with `payload_tail` appended to the payload. The header gets
+    the new manifest length and the sha256 of the new bytes, or, when
+    `stale`, keeps the digest it had."""
+    path = Path(directory) / FILE_NAME
+    data = path.read_bytes()
+    text, start = read_manifest(directory)
+    manifest = edit(text).encode("utf-8")
+    manifest += b"\0" * (-(HEADER_SIZE + len(manifest)) % 8)
+    body = manifest + data[start:] + payload_tail
+    magic, version, digest, _ = data[:HEADER_SIZE].split()
+    if not stale:
+        digest = hashlib.sha256(body).hexdigest().encode()
+    path.write_bytes(b" ".join([magic, version, digest, b"%010d" % len(manifest)]) + b"\n" + body)
+
+
+def _edit_tensor_entry(directory, name, field, value, stale=False):
     """Set field `field` (0 name, 1 dtype, 2 shape, 3 offset, 4 size) of tensor
     `name`'s manifest entry to `value`."""
-    manifest = directory / MANIFEST_NAME
-    lines = manifest.read_text(encoding="utf-8").splitlines()
-    for i, line in enumerate(lines):
-        parts = line.split("\t")
-        if len(parts) == 5 and parts[0] == name:
-            parts[field] = value
-            lines[i] = "\t".join(parts)
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def edit(text):
+        lines = text.splitlines()
+        for i, line in enumerate(lines):
+            parts = line.split("\t")
+            if len(parts) == 5 and parts[0] == name:
+                parts[field] = value
+                lines[i] = "\t".join(parts)
+        return "".join(line + "\n" for line in lines)
+    edit_manifest(directory, edit, stale)
 
 
 def _tensor_entry(directory, name):
-    for line in (directory / MANIFEST_NAME).read_text(encoding="utf-8").splitlines():
+    for line in read_manifest(directory)[0].splitlines():
         parts = line.split("\t")
         if len(parts) == 5 and parts[0] == name:
             return parts
@@ -79,76 +98,41 @@ class TestRoundTrip:
         state2 = dict(state, step=13)
         save_checkpoint(out, config, state2, tensors, files)
         assert load_checkpoint(out).state["step"] == 13
-        assert not out.with_name("ckpt.tmp").exists()
+        assert [p.name for p in out.iterdir()] == [FILE_NAME]
 
     def test_failed_swap_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
-        before = sorted(p.name for p in tmp_path.iterdir())
-        real_replace, calls = checkpoint_mod.os.replace, []
+        calls = []
 
         def failing_replace(src, dst):
             calls.append((src, dst))
-            if len(calls) == 2:  # moving the new checkpoint in
-                raise OSError("rename failed")
-            return real_replace(src, dst)
+            raise OSError("rename failed")
 
         monkeypatch.setattr(checkpoint_mod.os, "replace", failing_replace)
         with pytest.raises(OSError, match="rename failed"):
             save_checkpoint(out, config, dict(state, step=13), tensors, files)
-        assert calls[0][0] == out and calls[1][1] == out
+        assert calls == [(out / f"{FILE_NAME}.tmp", out / FILE_NAME)]
         assert load_checkpoint(out).state["step"] == 12
-        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert [p.name for p in out.iterdir()] == [FILE_NAME]
 
-    @staticmethod
-    def _kill_between_renames(out):
-        """Leave `out` as a kill after `_swap_in`'s first rename does: the
-        previous checkpoint aside, the new one still under its temporary
-        name."""
-        hexname = uuid.uuid4().hex
-        aside = out.with_name(f".{out.name}.{hexname}.old")
-        os.replace(out, aside)
-        out.with_name(f".{out.name}.{hexname}.tmp").mkdir()
-        return aside
-
-    def test_load_recovers_checkpoint_left_aside(self, tmp_path):
+    def test_a_temporary_file_left_by_a_killed_save_is_ignored_then_replaced(self, tmp_path):
         config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
-        aside = self._kill_between_renames(out)
+        # a kill inside the write of the next save
+        (out / f"{FILE_NAME}.tmp").write_bytes((out / FILE_NAME).read_bytes()[:200])
         assert load_checkpoint(out).state == state
-        assert out.is_dir() and not aside.exists()
-
-    def test_save_recovers_checkpoint_left_aside(self, tmp_path):
-        config, state, tensors, files = _sample()
-        out = tmp_path / "ckpt"
-        save_checkpoint(out, config, state, tensors, files)
-        self._kill_between_renames(out)
         save_checkpoint(out, config, dict(state, step=13), tensors, files)
         assert load_checkpoint(out).state["step"] == 13
-        assert not list(tmp_path.glob(".ckpt.*"))
-
-    def test_save_removes_debris_of_killed_saves(self, tmp_path):
-        config, state, tensors, files = _sample()
-        out = tmp_path / "ckpt"
-        save_checkpoint(out, config, state, tensors, files)
-        # a kill inside _write_contents, and one after the swap's second rename
-        half = out.with_name(f".ckpt.{uuid.uuid4().hex}.tmp")
-        half.mkdir()
-        (half / BLOB_NAME).write_bytes(b"\0" * 64)
-        shutil.copytree(out, out.with_name(f".ckpt.{uuid.uuid4().hex}.old"))
-        others = [tmp_path / f".other.{uuid.uuid4().hex}.tmp", tmp_path / ".ckpt.x.old"]
-        for path in others:
-            path.mkdir()
-        save_checkpoint(out, config, dict(state, step=13), tensors, files)
-        assert load_checkpoint(out).state["step"] == 13
-        assert sorted(tmp_path.glob(".*")) == sorted(others)
+        assert [p.name for p in out.iterdir()] == [FILE_NAME]
 
     def test_save_fsyncs_before_the_swap_and_the_parent_after(self, tmp_path, monkeypatch):
+        """Two fsyncs into an existing directory; a first save also syncs the
+        parent of the directory it creates."""
         config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
-        save_checkpoint(out, config, state, tensors, files)
         events = []
         real_fsync, real_replace = checkpoint_mod._fsync, checkpoint_mod.os.replace
 
@@ -162,24 +146,12 @@ class TestRoundTrip:
 
         monkeypatch.setattr(checkpoint_mod, "_fsync", fsync)
         monkeypatch.setattr(checkpoint_mod.os, "replace", replace)
-        save_checkpoint(out, config, dict(state, step=13), tensors, files)
-        swap = events.index(("replace", out))
-        synced = [p for kind, p in events[:swap] if kind == "fsync"]
-        tmp = synced[-1]
-        assert tmp.name.startswith(".ckpt.") and tmp.name.endswith(".tmp")
-        assert sorted(p.name for p in synced[:-1]) == sorted(
-            [BLOB_NAME, MANIFEST_NAME, "src_vocab.txt"])
-        assert ("fsync", tmp_path) in events[swap:]
-
-    def test_ambiguous_checkpoints_aside_are_not_recovered(self, tmp_path):
-        config, state, tensors, files = _sample()
-        out = tmp_path / "ckpt"
+        tmp, final = out / f"{FILE_NAME}.tmp", out / FILE_NAME
         save_checkpoint(out, config, state, tensors, files)
-        aside = self._kill_between_renames(out)
-        shutil.copytree(aside, out.with_name(f".ckpt.{uuid.uuid4().hex}.old"))
-        with pytest.raises(IntegrityError, match="not a checkpoint"):
-            load_checkpoint(out)
-        assert len(list(tmp_path.glob(".ckpt.*.old"))) == 2
+        assert events == [("fsync", tmp), ("replace", final), ("fsync", out), ("fsync", tmp_path)]
+        events.clear()
+        save_checkpoint(out, config, dict(state, step=13), tensors, files)
+        assert events == [("fsync", tmp), ("replace", final), ("fsync", out)]
 
     def test_float_state_round_trip(self, tmp_path):
         config, state, tensors, files = _sample()
@@ -194,7 +166,7 @@ class TestRoundTrip:
         a, b = tmp_path / "a", tmp_path / "b"
         save_checkpoint(a, config, state, tensors, files)
         save_checkpoint(b, config, state, tensors, files)
-        assert (a / BLOB_NAME).read_bytes() == (b / BLOB_NAME).read_bytes()
+        assert (a / FILE_NAME).read_bytes() == (b / FILE_NAME).read_bytes()
 
     def test_scalar_and_empty_tensors_round_trip(self, tmp_path):
         _, state, _, files = _sample()
@@ -245,47 +217,53 @@ class TestValidation:
 
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "c").mkdir()
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="is not a checkpoint"):
             load_checkpoint(tmp_path / "c")
+
+    def test_version_1_directory_refused(self, tmp_path):
+        old = tmp_path / "c"
+        old.mkdir()
+        (old / "manifest.txt").write_text("charnmt-checkpoint 1\n[config]\n", encoding="utf-8")
+        (old / FILE_NAME).write_bytes(b"\0" * 16)
+        with pytest.raises(IntegrityError, match="is a version-1 checkpoint"):
+            load_checkpoint(old)
 
     def test_tampered_blob_detected(self, tmp_path):
         config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
-        blob = out / BLOB_NAME
-        raw = bytearray(blob.read_bytes())
-        raw[0] ^= 0xFF
-        blob.write_bytes(bytes(raw))
-        with pytest.raises(IntegrityError):
+        path = out / FILE_NAME
+        raw = bytearray(path.read_bytes())
+        raw[read_manifest(out)[1]] ^= 0xFF  # the first tensor byte
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IntegrityError, match="checksum mismatch"):
             load_checkpoint(out)
 
     def test_tampered_aux_file_named(self, tmp_path):
         config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
-        (out / "src_vocab.txt").write_text("altered\n", encoding="utf-8")
-        with pytest.raises(IntegrityError) as exc:
+        path = out / FILE_NAME
+        path.write_bytes(path.read_bytes()[:-2] + b"b\n")  # the bundled file ends the payload
+        with pytest.raises(IntegrityError, match="checksum mismatch") as exc:
             load_checkpoint(out)
-        assert "src_vocab" in str(exc.value)
+        assert str(path) in str(exc.value)
 
     def test_bad_header(self, tmp_path):
         config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
-        manifest = out / MANIFEST_NAME
-        manifest.write_text("something else\n" + manifest.read_text(encoding="utf-8"),
-                            encoding="utf-8")
-        with pytest.raises(IntegrityError):
+        path = out / FILE_NAME
+        path.write_bytes(b"something else\n" + path.read_bytes())
+        with pytest.raises(IntegrityError, match="not a version-2 checkpoint header"):
             load_checkpoint(out)
 
     def test_inconsistent_tensor_size(self, tmp_path):
         config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
-        manifest = out / MANIFEST_NAME
-        text = manifest.read_text(encoding="utf-8")
-        manifest.write_text(text.replace("\t3,4\t", "\t3,5\t"), encoding="utf-8")
-        with pytest.raises(IntegrityError):
+        edit_manifest(out, lambda text: text.replace("\t3,4\t", "\t3,5\t"))
+        with pytest.raises(IntegrityError, match="inconsistent with size"):
             load_checkpoint(out)
 
     @pytest.mark.parametrize("field,value", [(3, "12x"), (2, "3,a"), (4, "-4")])
@@ -298,17 +276,32 @@ class TestValidation:
             load_checkpoint(out)
         assert value in str(exc.value)
 
-    def test_swapped_offsets_refused(self, tmp_path):
+    @staticmethod
+    def _equal_shaped_pair(tmp_path):
         _, state, _, files = _sample()
         cfg = ModelConfig(src_vocab_size=7, tgt_vocab_size=6, d_emb=3, d_enc=4, d_dec=5)
         tensors = {name: t.data for name, t in init_params(cfg, 0).items()}
         out = tmp_path / "ckpt"
         save_checkpoint(out, {}, state, tensors, files)
         reset, update = (_tensor_entry(out, f"enc_fw.U_{g}") for g in ("reset", "update"))
-        assert reset[2] == update[2]  # equal shapes: only the offsets tell them apart
+        assert reset[2] == update[2]  # equal shapes: only names and offsets tell them apart
+        return out, reset, update
+
+    def test_swapped_offsets_refused(self, tmp_path):
+        out, reset, update = self._equal_shaped_pair(tmp_path)
         _edit_tensor_entry(out, "enc_fw.U_reset", 3, update[3])
         _edit_tensor_entry(out, "enc_fw.U_update", 3, reset[3])
         with pytest.raises(IntegrityError, match="'enc_fw.U_reset': offset"):
+            load_checkpoint(out)
+
+    def test_swapped_names_refused(self, tmp_path):
+        out, _, _ = self._equal_shaped_pair(tmp_path)
+        _edit_tensor_entry(out, "enc_fw.U_reset", 0, "enc_fw.U_swap", stale=True)
+        _edit_tensor_entry(out, "enc_fw.U_update", 0, "enc_fw.U_reset", stale=True)
+        _edit_tensor_entry(out, "enc_fw.U_swap", 0, "enc_fw.U_update", stale=True)
+        assert int(_tensor_entry(out, "enc_fw.U_update")[3]) < int(
+            _tensor_entry(out, "enc_fw.U_reset")[3])
+        with pytest.raises(IntegrityError, match="checksum mismatch"):
             load_checkpoint(out)
 
     def test_first_tensor_starts_the_blob(self, tmp_path):
@@ -323,13 +316,9 @@ class TestValidation:
         config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
-        blob = out / BLOB_NAME
-        old = hashlib.sha256(blob.read_bytes()).hexdigest()
-        blob.write_bytes(blob.read_bytes() + b"\0" * 8)
-        manifest = out / MANIFEST_NAME
-        manifest.write_text(manifest.read_text(encoding="utf-8").replace(
-            old, hashlib.sha256(blob.read_bytes()).hexdigest()), encoding="utf-8")
-        with pytest.raises(IntegrityError, match="tensors end at byte 136 of a 144-byte blob"):
+        edit_manifest(out, lambda text: text, payload_tail=b"\0" * 8)
+        # 136 tensor bytes and the 23 bytes of the one bundled file
+        with pytest.raises(IntegrityError, match="entries end at byte 159 of a 167-byte payload"):
             load_checkpoint(out)
 
 
@@ -354,13 +343,13 @@ def test_one_load_opens_the_blob_once(tmp_path, monkeypatch):
     save_checkpoint(out, config, state, tensors, files)
     opened = _record_opens(monkeypatch)
     cp = load_checkpoint(out)
-    assert opened.count(str(out / BLOB_NAME)) == 1
+    assert opened.count(str(out / FILE_NAME)) == 1
     assert np.array_equal(cp.tensors["w.bias"], tensors["w.bias"])
 
 
 def test_one_trained_model_load_opens_each_bundled_file_once(tmp_path, monkeypatch):
     """The vocabularies and the merge table are parsed from the bytes whose
-    checksum the load verified, not read a second time."""
+    checksum the load verified, the one file of the checkpoint read once."""
     symbols = "".join(s + "\n" for s in (*RESERVED, "a"))
     files = {"src_vocab": symbols.encode(), "tgt_vocab": symbols.encode(),
              "merges": f"{MERGE_FILE_VERSION}\na a\n".encode()}
@@ -370,7 +359,6 @@ def test_one_trained_model_load_opens_each_bundled_file_once(tmp_path, monkeypat
     save_checkpoint(out, config_dict(mc, TrainConfig()), {"step": 0}, tensors, files)
     opened = _record_opens(monkeypatch)
     tm = load_trained_model(out)
-    for role in files:
-        assert opened.count(str(out / f"{role}.txt")) == 1, role
+    assert [p for p in opened if str(p).startswith(str(out))] == [str(out / FILE_NAME)]
     assert tm.src_vocab.symbols == tm.tgt_vocab.symbols == [*RESERVED, "a"]
     assert tm.merges.rules == [("a", "a")]

@@ -6,22 +6,21 @@ import io
 import json
 import os
 import re
+import resource
 import shutil
 import signal
 import subprocess
 import sys
 import tempfile
-import uuid
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import charnmt
-from charnmt.checkpoint import MANIFEST_NAME
 from charnmt.cli import main
 from charnmt.config import (
     RunConfig,
@@ -33,6 +32,7 @@ from charnmt.errors import ConfigError
 from charnmt.textpipe import EOS_ID, MergeTable, Vocabulary, learn_bpe, segment_line
 from charnmt.trainer import load_trained_model
 
+from test_checkpoint import edit_manifest
 from test_trainer import DEV_LINES, TRAIN_LINES, corpus_files, reorder_vocab
 
 
@@ -231,15 +231,6 @@ class TestTrainCommand:
         assert last == (f"trained 1 steps; latest checkpoint at {run / 'latest'}; "
                         "0 training pairs over the length limits dropped")
 
-    def test_resume_recovers_latest_left_aside_by_a_kill(self, workspace, tmp_path):
-        run = tmp_path / "run"
-        assert main(["train", "--config", str(workspace["config"]), f"out_dir={run}"]) == 0
-        latest = run / "latest"
-        os.replace(latest, latest.with_name(f".latest.{uuid.uuid4().hex}.old"))
-        assert main(["train", "--config", str(workspace["config"]), f"out_dir={run}",
-                     "max_steps=4", f"resume={latest}"]) == 0
-        assert load_trained_model(latest).state["step"] == 4
-
     def test_missing_resume_checkpoint_fails_cleanly(self, workspace, tmp_path, capsys):
         code = main(["train", "--config", str(workspace["config"]),
                      f"out_dir={tmp_path / 'run'}", f"resume={tmp_path / 'nothing'}"])
@@ -295,11 +286,13 @@ class TestTrainCommand:
     def test_resume_state_key_fails_cleanly(self, workspace, tmp_path, capsys, key, edit):
         bad = tmp_path / "bad"
         shutil.copytree(workspace["ckpt"], bad)
-        manifest = bad / MANIFEST_NAME
-        text, count = re.subn(rf"\n{key} = \d+\n", f"\n{edit}\n",
-                              manifest.read_text(encoding="utf-8"))
-        assert count == 1
-        manifest.write_text(text, encoding="utf-8")
+
+        def change(text):
+            text, count = re.subn(rf"\n{key} = \d+\n", f"\n{edit}\n", text)
+            assert count == 1
+            return text
+
+        edit_manifest(bad, change)
         code = main(["train", "--config", str(workspace["config"]),
                      f"out_dir={tmp_path / 'run'}", f"resume={bad}"])
         assert code == 1
@@ -311,11 +304,14 @@ class TestTrainCommand:
                                                           value):
         bad = tmp_path / "bad"
         shutil.copytree(workspace["ckpt"], bad)
-        manifest = bad / MANIFEST_NAME
-        text, count = re.subn(r"\nbest_dev_nll = [^\n]*\n", f"\nbest_dev_nll = {value}\n",
-                              manifest.read_text(encoding="utf-8"))
-        assert count == 1
-        manifest.write_text(text, encoding="utf-8")
+
+        def edit(text):
+            text, count = re.subn(r"\nbest_dev_nll = [^\n]*\n", f"\nbest_dev_nll = {value}\n",
+                                  text)
+            assert count == 1
+            return text
+
+        edit_manifest(bad, edit)
         code = main(["train", "--config", str(workspace["config"]),
                      f"out_dir={tmp_path / 'run'}", "max_steps=4", f"resume={bad}"])
         assert code == 1
@@ -570,14 +566,20 @@ def test_cli_pins_one_blas_thread_unless_set(preset, expected):
     assert json.loads(proc.stdout) == expected
 
 
-def test_run_killed_at_a_random_step_resumes_to_the_uninterrupted_result(workspace, tmp_path):
-    """SIGKILL a `charnmt train` process once it has logged a seeded random
-    step, resume it in place, and compare with a run never killed."""
+def _train_in_child(tmp_path, paths, **extra):
+    """The command that runs `charnmt train` in a child process on a run
+    config with `extra` set, and the child's environment."""
     src = Path(charnmt.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
-    config = write_config(tmp_path / "run.conf", workspace["paths"],
-                          max_steps=12, validate_every=3)
-    command = [sys.executable, "-m", "charnmt.cli", "train", "--config", str(config)]
+    config = write_config(tmp_path / "run.conf", paths, **extra)
+    return [sys.executable, "-m", "charnmt.cli", "train", "--config", str(config)], env
+
+
+def test_run_killed_at_a_random_step_resumes_to_the_uninterrupted_result(workspace, tmp_path):
+    """SIGKILL a `charnmt train` process once it has logged a seeded random
+    step, resume it in place, and compare with a run never killed. The lock
+    the killed run held does not block the resume."""
+    command, env = _train_in_child(tmp_path, workspace["paths"], max_steps=12, validate_every=3)
     full, run = tmp_path / "full", tmp_path / "run"
     subprocess.run(command + [f"out_dir={full}"], env=env, check=True,
                    capture_output=True, timeout=300)
@@ -595,10 +597,77 @@ def test_run_killed_at_a_random_step_resumes_to_the_uninterrupted_result(workspa
         proc.stdout.close()
         proc.wait(timeout=60)
     assert proc.returncode == -signal.SIGKILL
+    assert (run / ".lock").read_text(encoding="utf-8") == f"{proc.pid}\n"
     subprocess.run(command + [f"out_dir={run}", f"resume={run / 'latest'}"], env=env,
                    check=True, capture_output=True, timeout=300)
     for name in ("train.log", "latest/params.bin"):
         assert (run / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def test_two_trainings_into_one_out_dir_leave_one_runs_files(workspace, tmp_path):
+    """Of two `charnmt train` processes started at once into one `out_dir`,
+    one trains as a solo run does and the other stops with one error line."""
+    command, env = _train_in_child(tmp_path, workspace["paths"], max_steps=120,
+                                   validate_every=1)
+    solo, run = tmp_path / "solo", tmp_path / "run"
+    subprocess.run(command + [f"out_dir={solo}"], env=env, check=True, capture_output=True,
+                   timeout=300)
+    procs = [subprocess.Popen(command + [f"out_dir={run}"], env=env, text=True,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+             for _ in range(2)]
+    errs = [proc.communicate(timeout=300)[1] for proc in procs]
+    assert sorted(proc.returncode for proc in procs) == [0, 1], errs
+    winner, loser = sorted(range(2), key=lambda i: procs[i].returncode)
+    assert errs[winner] == ""
+    holder = re.fullmatch(rf"error: {re.escape(str(run))} is in use by another charnmt train "
+                          r"\(pid (\d*)\)\n", errs[loser])
+    assert holder is not None, errs[loser]
+    assert holder[1] in ("", str(procs[winner].pid))  # empty if read before the pid was written
+    for name in ("train.log", "latest/params.bin", "best/params.bin"):
+        assert (run / name).read_bytes() == (solo / name).read_bytes(), name
+
+
+def test_loads_of_latest_never_fail_while_a_training_saves_it(workspace, tmp_path):
+    """A reader loops over `latest` while a `charnmt train` process saves it
+    at every step."""
+    command, env = _train_in_child(tmp_path, workspace["paths"], max_steps=120,
+                                   validate_every=1)
+    run = tmp_path / "run"
+    proc = subprocess.Popen(command + [f"out_dir={run}"], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    loads, failures = 0, []
+    try:
+        while proc.poll() is None:
+            if (run / "latest" / "params.bin").exists():
+                try:
+                    load_trained_model(run / "latest")
+                    loads += 1
+                except Exception as exc:
+                    failures.append(repr(exc))
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+    assert proc.returncode == 0
+    assert loads > 0 and failures == [], (loads, failures[:5])
+
+
+def test_a_failed_save_names_its_file(workspace, tmp_path, capsys):
+    """Under a file-size limit that `best` fits and `latest` does not, the
+    error line names `latest`'s file, and no temporary file is left."""
+    assert main(["train", "--config", str(workspace["config"]),
+                 f"out_dir={tmp_path / 'sizes'}"]) == 0
+    best, latest = ((tmp_path / "sizes" / name / "params.bin").stat().st_size
+                    for name in ("best", "latest"))
+    limit = (best + latest) // 2
+    command, env = _train_in_child(tmp_path, workspace["paths"])
+    run = tmp_path / "run"
+    proc = subprocess.run(
+        command + [f"out_dir={run}"], env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert str(run / "latest" / "params.bin") in proc.stderr
+    assert [p.name for p in (run / "latest").iterdir()] == []
 
 
 def test_word_nll_analysis_script_on_one_checkpoint_twice(workspace, tmp_path, capsys,
@@ -625,7 +694,8 @@ def test_word_nll_analysis_script_on_one_checkpoint_twice(workspace, tmp_path, c
 
 
 # One mutation of one line of a train command's inputs: a run config line, an
-# override token, or a [config] or [state] line of the checkpoint it resumes.
+# override token, or a line of any manifest section of the checkpoint it
+# resumes, a swap there replacing a value or one tab-separated field.
 # Swapped-in values are never large integers, which would size allocations.
 _SWAPS = st.one_of(
     st.sampled_from(["", "nan", "inf", "-1", "0", "1.5"]),
@@ -644,9 +714,33 @@ def _mutated(draw, lines):
         new = [line, line]
     elif kind == "truncate":
         new = [line[: draw(st.integers(0, len(line) - 1))]]
+    elif "\t" in line:
+        fields = line.split("\t")
+        j = draw(st.integers(0, len(fields) - 1))
+        new = ["\t".join(fields[:j] + [draw(_SWAPS)] + fields[j + 1 :])]
     else:
         new = [re.match(r"[^=]*=\s?", line)[0] + draw(_SWAPS)]
     return lines[:i] + new + lines[i + 1 :]
+
+
+_SECTIONS = ["[config]", "[state]", "[files]", "[tensors]"]
+
+
+def _mutate_section(data, checkpoint, section, stale):
+    """Mutate one line of `section` of `checkpoint`'s manifest; False when the
+    mutation left the manifest as it was."""
+    texts = []
+
+    def edit(text):
+        lines = text.splitlines()
+        start = lines.index(section) + 1
+        end = next((i for i in range(start, len(lines)) if lines[i].startswith("[")), len(lines))
+        lines[start:end] = data.draw(_mutated(lines[start:end]))
+        texts.extend([text, "".join(l + "\n" for l in lines)])
+        return texts[-1]
+
+    edit_manifest(checkpoint, edit, stale)
+    return texts[0] != texts[1]
 
 
 _RICH_CONFIG = dict(step_size=0.01, clip=5.0, epsilon=1e-6, beta1=0.9, beta2=0.99,
@@ -659,7 +753,7 @@ _OVERRIDES = ["batch_size=3", "step_size=0.002", "clip=2.5", "epsilon=1e-7", "d_
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_one_mutated_input_line_exits_0_or_prints_one_error_line(workspace, data):
-    kind = data.draw(st.sampled_from(["config", "override", "[config]", "[state]"]))
+    kind = data.draw(st.sampled_from(["config", "override", *_SECTIONS]))
     with tempfile.TemporaryDirectory(dir=workspace["root"]) as tmp:
         tmp = Path(tmp)
         config, overrides = workspace["config"], []
@@ -674,12 +768,7 @@ def test_one_mutated_input_line_exits_0_or_prints_one_error_line(workspace, data
         else:
             checkpoint = tmp / "ckpt"
             shutil.copytree(workspace["ckpt"], checkpoint)
-            manifest = checkpoint / MANIFEST_NAME
-            lines = manifest.read_text(encoding="utf-8").splitlines()
-            start = lines.index(kind) + 1
-            end = next(i for i in range(start, len(lines)) if lines[i].startswith("["))
-            lines[start:end] = data.draw(_mutated(lines[start:end]))
-            manifest.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+            _mutate_section(data, checkpoint, kind, stale=False)
             overrides = [f"resume={checkpoint}"]
         argv = ["train", "--config", str(config), *overrides, f"out_dir={tmp / 'run'}",
                 "max_steps=0"]
@@ -688,6 +777,22 @@ def test_one_mutated_input_line_exits_0_or_prints_one_error_line(workspace, data
             code = main(argv)
     assert code == 0 or (code == 1 and err.getvalue().startswith("error:")
                          and err.getvalue().count("\n") == 1), (argv, err.getvalue())
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_one_mutated_manifest_line_under_a_stale_digest_fails_on_the_digest(workspace, data):
+    with tempfile.TemporaryDirectory(dir=workspace["root"]) as tmp:
+        checkpoint = Path(tmp) / "ckpt"
+        shutil.copytree(workspace["ckpt"], checkpoint)
+        assume(_mutate_section(data, checkpoint, data.draw(st.sampled_from(_SECTIONS)),
+                               stale=True))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["train", "--config", str(workspace["config"]), f"resume={checkpoint}",
+                         f"out_dir={Path(tmp) / 'run'}", "max_steps=0"])
+    assert (code, err.getvalue()) == (
+        1, f"error: checksum mismatch for {checkpoint / 'params.bin'}\n")
 
 
 # One mutation of one data file of a train command: a vocabulary, the merge

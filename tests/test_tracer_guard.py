@@ -5,7 +5,8 @@ not only when the benchmark runs."""
 import importlib.util
 from pathlib import Path
 
-from charnmt import decode
+from charnmt import decode, trainer
+from charnmt.checkpoint import FILE_NAME
 from charnmt.textpipe import RESERVED, MergeTable, Vocabulary
 from charnmt.trainer import TrainPaths, train
 
@@ -51,9 +52,17 @@ def test_translate_corpus_runs_through_the_traced_search():
     assert tracer.counts["search_rows"] > 0
 
 
-def test_train_validates_through_the_traced_bleu(tmp_path):
+def test_train_validates_through_the_traced_bleu(tmp_path, monkeypatch):
     paths, n_src, n_tgt = corpus_files(tmp_path / "corpus")
     mc, tc = tiny_configs(n_src, n_tgt, max_steps=2, validate_every=1)
+    real_save, saved = trainer.save_checkpoint, []
+
+    def save(*args):
+        directory = real_save(*args)
+        saved.append((directory / FILE_NAME).stat().st_size)
+        return directory
+
+    monkeypatch.setattr(trainer, "save_checkpoint", save)
     tracer = load_tracer_module().Tracer()
     try:
         tracer.install()
@@ -62,3 +71,5 @@ def test_train_validates_through_the_traced_bleu(tmp_path):
         tracer.uninstall()
     # each of the two validations enters `_dev_nll` and `greedy_corpus_bleu`
     assert tracer.layers["trainer.validation"].calls == 4
+    # the tracer counts every file in a checkpoint directory: the one file saved
+    assert len(saved) >= 2 and tracer.counts["save_bytes"] == sum(saved)

@@ -1,10 +1,8 @@
 """Trainer tests: loss masking, clipping, Adam, and the end-to-end loop."""
 
 import math
-import os
 import re
 import shutil
-import uuid
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +13,7 @@ import pytest
 import charnmt.checkpoint as checkpoint_mod
 import charnmt.model as model_mod
 import charnmt.trainer as trainer_mod
-from charnmt.checkpoint import MANIFEST_NAME, load_checkpoint, save_checkpoint
+from charnmt.checkpoint import load_checkpoint, save_checkpoint
 from charnmt.decode import default_max_len, translate_corpus
 from charnmt.errors import (
     ConfigError, ConsistencyError, ContractError, CorpusError, NonFiniteError,
@@ -54,7 +52,7 @@ from charnmt.trainer import (
 from conftest import (
     assert_arrays_close, composite_gru_cell, small_model, use_composite_layers,
 )
-from test_checkpoint import _record_opens
+from test_checkpoint import _record_opens, edit_manifest
 
 
 def hand_batch(src_rows, tgt_rows) -> Batch:
@@ -527,20 +525,6 @@ class TestTrainLoop:
         assert load_checkpoint(resumed.latest_dir).state == {
             "step": 3, "epoch": 1, "batch": 1, "best_dev_nll": resumed.best_dev_nll}
 
-    def test_resume_recovers_latest_left_aside_by_a_kill(self, corpus, tmp_path):
-        paths, n_src, n_tgt = corpus
-        mc, tc = tiny_configs(n_src, n_tgt, max_steps=4, validate_every=2)
-        full = train(mc, tc, TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "full"}))
-
-        run = TrainPaths(**{**paths.__dict__, "out_dir": tmp_path / "run"})
-        train(mc, tiny_configs(n_src, n_tgt, max_steps=2, validate_every=2)[1], run)
-        latest = run.out_dir / "latest"
-        # as a kill between the checkpoint swap's two renames leaves it
-        os.replace(latest, latest.with_name(f".latest.{uuid.uuid4().hex}.old"))
-        resumed = train(mc, tc, run, resume=latest)
-        assert resumed.log_path.read_bytes() == full.log_path.read_bytes()
-        assert not list(run.out_dir.glob(".latest.*"))
-
     def test_fresh_run_starts_its_log_empty(self, corpus, tmp_path):
         paths, n_src, n_tgt = corpus
         mc, tc = tiny_configs(n_src, n_tgt, max_steps=3, validate_every=2)
@@ -750,12 +734,14 @@ class TestRunFiles:
         latest = train(mc, tc, run).latest_dir
         edited = tmp_path / "edited"
         shutil.copytree(latest, edited)
-        manifest = edited / MANIFEST_NAME
-        text, count = re.subn(r"\nbest_dev_nll = [^\n]*\n",
-                              "\n" if value is None else f"\nbest_dev_nll = {value}\n",
-                              manifest.read_text(encoding="utf-8"))
-        assert count == 1
-        manifest.write_text(text, encoding="utf-8")
+
+        def edit(text):
+            text, count = re.subn(r"\nbest_dev_nll = [^\n]*\n",
+                                  "\n" if value is None else f"\nbest_dev_nll = {value}\n", text)
+            assert count == 1
+            return text
+
+        edit_manifest(edited, edit)
         resumed = replace(tc, max_steps=4)
         if value is None:  # a checkpoint that never validated
             result = train(mc, resumed, run, resume=edited)
@@ -825,11 +811,12 @@ class TestMalformedCheckpoint:
         _, _, _, latest = trained
         bad = tmp_path / "bad"
         shutil.copytree(latest, bad)
-        manifest = bad / MANIFEST_NAME
-        text = manifest.read_text(encoding="utf-8")
-        assert "\nd_dec = 8\n" in text
-        manifest.write_text(text.replace("\nd_dec = 8\n", "\nd_dec = sixty\n"),
-                            encoding="utf-8")
+
+        def edit(text):
+            assert "\nd_dec = 8\n" in text
+            return text.replace("\nd_dec = 8\n", "\nd_dec = sixty\n")
+
+        edit_manifest(bad, edit)
         with pytest.raises(ConfigError, match=r"d_dec = 'sixty' is not a valid int"):
             load_trained_model(bad)
 
