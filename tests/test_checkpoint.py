@@ -117,16 +117,32 @@ class TestRoundTrip:
         assert load_checkpoint(out).state["step"] == 12
         assert [p.name for p in out.iterdir()] == [FILE_NAME]
 
-    def test_a_temporary_file_left_by_a_killed_save_is_ignored_then_replaced(self, tmp_path):
+    def test_load_recovers_checkpoint_left_aside(self, tmp_path):
+        """A kill inside the write of a save leaves the previous params.bin in
+        place beside a half-written params.bin.tmp; a load reads the former and
+        touches neither."""
         config, state, tensors, files = _sample()
         out = tmp_path / "ckpt"
         save_checkpoint(out, config, state, tensors, files)
-        # a kill inside the write of the next save
-        (out / f"{FILE_NAME}.tmp").write_bytes((out / FILE_NAME).read_bytes()[:200])
+        half = out / f"{FILE_NAME}.tmp"
+        half.write_bytes((out / FILE_NAME).read_bytes()[:200])
         assert load_checkpoint(out).state == state
+        assert sorted(p.name for p in out.iterdir()) == sorted([FILE_NAME, half.name])
+        assert len(half.read_bytes()) == 200
+
+    def test_save_removes_debris_of_killed_saves(self, tmp_path):
+        """The one debris a killed save can leave, params.bin.tmp, is replaced
+        by the next save; nothing outside the checkpoint directory is touched."""
+        config, state, tensors, files = _sample()
+        out = tmp_path / "ckpt"
+        save_checkpoint(out, config, state, tensors, files)
+        (out / f"{FILE_NAME}.tmp").write_bytes((out / FILE_NAME).read_bytes()[:200])
+        other = tmp_path / f"{FILE_NAME}.tmp"
+        other.write_bytes(b"\0" * 64)
         save_checkpoint(out, config, dict(state, step=13), tensors, files)
         assert load_checkpoint(out).state["step"] == 13
         assert [p.name for p in out.iterdir()] == [FILE_NAME]
+        assert other.read_bytes() == b"\0" * 64
 
     def test_save_fsyncs_before_the_swap_and_the_parent_after(self, tmp_path, monkeypatch):
         """Two fsyncs into an existing directory; a first save also syncs the
