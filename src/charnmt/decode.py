@@ -1,4 +1,4 @@
-"""Greedy and beam-search decoding from one model or an ensemble.
+"""Beam-search decoding from one model or an ensemble.
 
 All entry points accept a list of models; a single-model decode is the
 one-element case. Ensembles average output *probabilities* arithmetically
@@ -6,17 +6,18 @@ one-element case. Ensembles average output *probabilities* arithmetically
 Alignment rows for an ensemble are the mean of the members' rows; a single
 model's are its own rows, bit for bit.
 
-Both searches decode a batch of padded sources at once and keep the same
-books: each row has its own length cap, sentences leave the batch as they
-finish, annotations are gathered again (`_take_rows`) only when the rows'
-sentences change, and tokens and alignment rows are kept as back-pointers
-read out once at the end (`_read_pools`). Greedy search takes the argmax
-itself, so width-1 beam search = greedy is a law between two
-implementations. Beam search steps a fixed (sentence, slot) grid of rows,
+`beam_search` is the one search every program path runs: `translate_corpus`
+feeds it chunks of `SEARCH_CHUNK` sentences, for `translate` and, at width
+1, for validation BLEU. It decodes a batch of padded sources at once: each
+row has its own length cap, sentences leave the batch as they finish,
+annotations are gathered again (`_take_rows`) only when the rows' sentences
+change, and tokens and alignment rows are kept as back-pointers read out
+once at the end (`_read_pools`). It steps a (sentence, slot) grid of rows,
 dead slots scored -inf, through one model call per step; each sentence
-keeps its own completed pool, greedy chain and stop test.
-`translate_corpus` and validation feed them chunks of `SEARCH_CHUNK`
-sentences.
+keeps its own completed pool, greedy chain and stop test. `greedy_decode`
+keeps the same books but takes the argmax itself: it is the reference that
+width-1 beam search = greedy is checked against, a law between two
+implementations.
 
 Scores carry no length normalization by default: a hypothesis score is the
 exact sum of its chosen per-step log-probabilities, including the final EOS.
@@ -123,7 +124,8 @@ def _encode_batch(models, source, max_len, lengths):
 
 
 def greedy_decode(models, source, lengths=None, max_len=100) -> list[Hypothesis]:
-    """Argmax decoding over a whole batch at once.
+    """Argmax decoding over a whole batch at once: the independent reference
+    that width-1 `beam_search` is checked against; charnmt never runs it.
 
     `source` is (S, T_x) (or a single 1-D sentence) with optional `lengths`;
     `max_len` is one cap or one per row. Returns one Hypothesis per row.
@@ -175,16 +177,16 @@ def beam_search(models, source, width: int, max_len, lengths=None,
     (no extension can beat it, scores only decrease) or at its cap, where
     survivors are force-finished with a scored EOS, and then leaves the batch.
 
-    The rows of a step are a fixed grid of (active sentence, slot) pairs,
-    sentence major: one slot at step 0 and `width` after it, slot k holding
-    the k-th selected extension. An extension that ends in EOS, or that a
-    sentence short of candidates cannot fill, leaves a dead slot scored
-    -inf, so live slots keep their order. All rows step through each model
-    in one call; annotations are gathered again only when sentences leave
-    or the slot count grows. Selection reads a (sentences, V * slots) layout,
-    token major, by repeated row argmax, which keeps a stable sort's order;
-    tokens and alignment rows are kept as back-pointers and read out once
-    the batch is done.
+    The rows of a step are a grid of (active sentence, slot) pairs, sentence
+    major: one slot at step 0, then as many as the step before selected,
+    min(`width`, V * its slots), slot k holding the k-th selected extension.
+    An extension that ends in EOS, or that a sentence short of candidates
+    cannot fill, leaves a dead slot scored -inf, so live slots keep their
+    order. All rows step through each model in one call; annotations are
+    gathered again only when sentences leave or the slot count grows.
+    Selection reads a (sentences, V * slots) layout, token major, by repeated
+    row argmax, which keeps a stable sort's order; tokens and alignment rows
+    are kept as back-pointers and read out once the batch is done.
     """
     if width < 1:
         raise ConfigError(f"beam width must be at least 1, got {width}")
@@ -203,7 +205,7 @@ def beam_search(models, source, width: int, max_len, lengths=None,
     pool = []  # (sentence, score, row, step, truncated) of completed hypotheses
     t = 0
     while len(sent):
-        A = len(sent)
+        A, W = len(sent), min(width, K * V)  # W: selected extensions, the next step's slots
         avg, alpha, stepped = _ensemble_step(models, ctxs, states, y_prev)
         alphas.append(alpha)
         if t in close_at:  # force-finish the live slots of sentences at their cap
@@ -218,9 +220,9 @@ def beam_search(models, source, width: int, max_len, lengths=None,
             order, score = pick[:, None], (row_score + avg[first, pick])[:, None]
         else:
             grid = (row_score[:, None] + avg).reshape(A, K, V).transpose(0, 2, 1).reshape(A, -1)
-            order, rows = np.empty((A, width), dtype=int), np.arange(A)
+            order, rows = np.empty((A, W), dtype=int), np.arange(A)
             score = np.empty(order.shape)
-            for k in range(width):  # argmax takes the lowest of equal indices
+            for k in range(W):  # argmax takes the lowest of equal indices
                 order[:, k] = grid.argmax(axis=1)
                 score[:, k] = grid[rows, order[:, k]]
                 grid[rows, order[:, k]] = -np.inf
@@ -249,8 +251,8 @@ def beam_search(models, source, width: int, max_len, lengths=None,
         states = [_take_rows(s, parents[-1]) for s in stepped]
         y_prev, row_score = tokens[-1], score[stay].ravel()
         chain, best = chain[stay], best[stay]
-        if len(stay) < A or K < width:
-            sent, K = sent[stay], width
+        if len(stay) < A or K < W:
+            sent, K = sent[stay], W
             first = np.arange(len(sent)) * K
             ctxs = [_take_rows(c, np.repeat(sent, K)) for c in all_ctxs]
         t += 1

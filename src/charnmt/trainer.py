@@ -4,10 +4,10 @@ checkpointing, and validation-driven model selection.
 The loop is: batch -> teacher-forced mean NLL -> backward -> global-norm
 clip -> bias-corrected Adam step. A non-finite loss or gradient norm stops
 the run before the step touches the parameters. Every validation interval
-the current parameters are scored on the dev set (mean NLL plus
-greedy-decode BLEU); the best-by-dev-NLL checkpoint is kept alongside the
-latest. `best` holds the parameters alone, for inference; only `latest`
-carries the Adam moments a resume needs. Epoch e trains on the
+the current parameters are scored on the dev set (mean NLL plus the BLEU
+of width-1 `translate_corpus`); the best-by-dev-NLL checkpoint is kept
+alongside the latest. `best` holds the parameters alone, for inference; only
+`latest` carries the Adam moments a resume needs. Epoch e trains on the
 length-bucketed batches `make_batches` cuts with seed + e, so a resumed run
 sees the identical batch sequence. A step's log line reaches the disk before
 any checkpoint of it, so a run killed at any instant and resumed in place
@@ -30,19 +30,17 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, replace_into, save_checkpoint
-from .decode import default_max_len, greedy_decode, hypothesis_text
+from .decode import translate_corpus
 from .errors import ConfigError, ConsistencyError, ContractError, CorpusError, NonFiniteError
 from .metrics import bleu
-from .model import SEARCH_CHUNK, Model, ModelConfig, init_params, label_log_probs, param_spec
+from .model import Model, ModelConfig, init_params, label_log_probs, param_spec
 from .numerics import PRECISIONS, Graph, ParameterStore, backward, scale, sum_all
 from .textpipe import (
-    EOS_ID,
     MergeTable,
     Vocabulary,
     decode_text,
     load_parallel,
     make_batches,
-    pad_rows,
     segment_line,
     within_limits,
 )
@@ -297,17 +295,10 @@ def _segment_pairs(pairs, merges, unit):
 
 def greedy_corpus_bleu(model: Model, src_lines, ref_lines, src_vocab, merges,
                        tgt_vocab, unit) -> float:
-    """BLEU of batched greedy decoding against raw reference lines, each
-    line capped at its own default length."""
-    rows = [src_vocab.encode(segment_line(l, "subword", merges)) + [EOS_ID] for l in src_lines]
-    texts = []
-    for start in range(0, len(rows), SEARCH_CHUNK):
-        part = rows[start : start + SEARCH_CHUNK]
-        mat, lengths = pad_rows(part)
-        caps = [default_max_len(len(r) - 1, unit) for r in part]
-        texts += [hypothesis_text(h, tgt_vocab, unit)
-                  for h in greedy_decode([model], mat, lengths, caps)]
-    return bleu(texts, ref_lines).bleu
+    """BLEU against raw reference lines of what `translate_corpus` emits at
+    width 1 (greedy), each line capped at its own default length."""
+    result = translate_corpus([model], src_lines, src_vocab, tgt_vocab, merges, unit, width=1)
+    return bleu(result.texts, ref_lines).bleu
 
 
 def _dev_nll(model: Model, batches) -> float:
@@ -321,12 +312,18 @@ def _dev_nll(model: Model, batches) -> float:
 
 def _trim_log(path: Path, step: int) -> None:
     """Cut a run's log back to the lines of steps up to `step`, so that a
-    resumed run does not log the steps after its checkpoint twice."""
+    resumed run does not log the steps after its checkpoint twice. A line
+    without a step number fails, naming `PATH:LINE`, before any rewrite."""
     if not path.exists():
         return
     kept = []
-    for line in decode_text(path.read_bytes(), path).splitlines(keepends=True):
-        if not line.endswith("\n") or int(line.split("\t", 1)[0]) > step:
+    for lineno, line in enumerate(decode_text(path.read_bytes(), path).splitlines(True), 1):
+        if not line.endswith("\n"):
+            break
+        logged = line.split("\t", 1)[0]
+        if not logged.isdecimal():
+            raise CorpusError(f"{path}:{lineno}: not a train.log line")
+        if int(logged) > step:
             break
         kept.append(line)
     replace_into(path, "".join(kept))

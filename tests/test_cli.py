@@ -335,6 +335,20 @@ class TestTrainCommand:
         assert err.startswith("error: the run's tgt_vocab file") and err.count("\n") == 1
         assert (run / "train.log").read_bytes() == log
 
+    @pytest.mark.parametrize("bad", ["xx\t0.4\n", "\n"])
+    def test_resume_over_a_malformed_log_line_names_it(self, workspace, tmp_path, capsys, bad):
+        run = tmp_path / "run"
+        args = ["train", "--config", str(workspace["config"]), f"out_dir={run}"]
+        assert main(args + ["max_steps=2"]) == 0
+        first, second = (run / "train.log").read_text(encoding="utf-8").splitlines(True)
+        (run / "train.log").write_text(first + bad + second, encoding="utf-8")
+        log = (run / "train.log").read_bytes()
+        capsys.readouterr()
+        assert main(args + [f"resume={run / 'latest'}"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {run / 'train.log'}:2: not a train.log line\n"
+        assert (run / "train.log").read_bytes() == log
+
     @pytest.mark.parametrize("role", ["config", "src_vocab", "tgt_vocab", "merges"])
     def test_non_utf8_input_fails_cleanly(self, workspace, tmp_path, capsys, role):
         paths = workspace["paths"]

@@ -4,7 +4,10 @@ other than the dunder ones, is referenced somewhere in the program: in
 test suite (the composite oracles and test-only primitives live in
 `tests/conftest.py`). Every field of the model's dataclasses is read by
 name somewhere in the program: a field that is only carried along (say, by
-a loop over `dataclasses.fields`) is state nothing uses."""
+a loop over `dataclasses.fields`) is state nothing uses. No module of
+`src/charnmt` but `decode.py` names `greedy_decode`: every program path
+searches through `beam_search`, and greedy decoding is kept only as the
+reference that width-1 beam search is checked against."""
 
 import ast
 from pathlib import Path
@@ -92,3 +95,9 @@ def test_every_model_dataclass_field_is_read_in_the_program():
     read = read_attributes()
     unread = [qualified for qualified, name in dataclass_fields(MODEL) if name not in read]
     assert unread == []
+
+
+def test_only_decode_names_the_greedy_reference():
+    naming = [path.name for path in sorted((ROOT / "src" / "charnmt").glob("*.py"))
+              if "greedy_decode" in path.read_text(encoding="utf-8")]
+    assert naming == ["decode.py"]

@@ -275,6 +275,19 @@ class TestBatchedAgainstReference:
         sources = mixed_sources(51, count=3)
         assert_matches_reference([m], sources, 12, [6] * len(sources))
 
+    def test_slots_never_exceed_the_candidates(self, monkeypatch):
+        # V = 10: a sentence has 10 extensions after step 0, so step 1 steps
+        # at most 10 rows of it however wide the beam
+        m = small_model(54, tgt_vocab=10)
+        rows = []
+        step = m.step_log_probs
+        monkeypatch.setattr(m, "step_log_probs",
+                            lambda y_prev, *a: rows.append(len(y_prev)) or step(y_prev, *a))
+        sources = mixed_sources(54, count=2)
+        assert_matches_reference([m], sources, 2000, [4, 3])
+        # the batched search runs first; its step 1 is the second call
+        assert rows[:2] == [2, 20]
+
 
 class TestBatchedLaws:
     @pytest.mark.parametrize("decoder", ["base", "biscale"])

@@ -14,7 +14,7 @@ import charnmt.checkpoint as checkpoint_mod
 import charnmt.model as model_mod
 import charnmt.trainer as trainer_mod
 from charnmt.checkpoint import load_checkpoint, save_checkpoint
-from charnmt.decode import default_max_len, translate_corpus
+from charnmt.decode import default_max_len, greedy_decode, hypothesis_text, translate_corpus
 from charnmt.errors import (
     ConfigError, ConsistencyError, ContractError, CorpusError, NonFiniteError,
 )
@@ -27,10 +27,10 @@ from charnmt.textpipe import (
     RESERVED,
     Batch,
     MergeTable,
-    Vocabulary,
     build_vocab,
     learn_bpe,
     load_parallel,
+    pad_rows,
     segment_line,
 )
 from charnmt.trainer import (
@@ -53,6 +53,7 @@ from conftest import (
     assert_arrays_close, composite_gru_cell, small_model, use_composite_layers,
 )
 from test_checkpoint import _record_opens, edit_manifest
+from test_decode import _toy_vocabs
 
 
 def hand_batch(src_rows, tgt_rows) -> Batch:
@@ -836,7 +837,17 @@ class TestMalformedCheckpoint:
             train(mc, tc, run, resume=bad)
 
 
-def test_greedy_bleu_text_does_not_depend_on_neighbours(monkeypatch):
+@pytest.fixture
+def scored_texts(monkeypatch):
+    """The hypothesis texts of every `bleu` call the trainer makes, in order."""
+    texts = []
+    real_bleu = trainer_mod.bleu
+    monkeypatch.setattr(trainer_mod, "bleu",
+                        lambda hyps, refs: texts.append(hyps) or real_bleu(hyps, refs))
+    return texts
+
+
+def test_greedy_bleu_text_does_not_depend_on_neighbours(scored_texts):
     # reserved symbols (EOS too) unreachable, so every line runs to its cap
     # with one character per step: alone, or next to a longer line with a
     # longer cap, a line must decode to the same text
@@ -844,18 +855,33 @@ def test_greedy_bleu_text_does_not_depend_on_neighbours(monkeypatch):
     bias = np.zeros(10)
     bias[: len(RESERVED)] = -1e6
     m.store.assign("out.b_logit", bias)
-    src = Vocabulary("subword", list(RESERVED) + list("abcde"))
-    tgt = Vocabulary("character", list(RESERVED) + list("uvwxy "))
-    texts = []
-    real_bleu = trainer_mod.bleu
-    monkeypatch.setattr(trainer_mod, "bleu",
-                        lambda hyps, refs: texts.append(hyps) or real_bleu(hyps, refs))
+    src, tgt = _toy_vocabs()
 
     def decoded(lines):
         trainer_mod.greedy_corpus_bleu(m, lines, ["u"] * len(lines), src, MergeTable(),
                                        tgt, "character")
-        return texts[-1]
+        return scored_texts[-1]
 
     alone = decoded(["a"])[0]
     assert len(alone) == default_max_len(1, "character")
     assert decoded(["a", "a b c d e"])[0] == alone
+
+
+@pytest.mark.parametrize("decoder", ["base", "biscale"])
+def test_greedy_bleu_scores_the_texts_of_greedy_decode(scored_texts, decoder):
+    # more lines than one search chunk, of mixed lengths and so of mixed caps;
+    # some lines run to their caps and others end early: the texts scored are
+    # those of the argmax reference, line by line
+    m = small_model(17, decoder=decoder, src_vocab=9, tgt_vocab=10)
+    src, tgt = _toy_vocabs()
+    rng = np.random.default_rng(17)
+    lines = [" ".join(rng.choice(list("abcde"), size=rng.integers(1, 7))) for _ in range(70)]
+    trainer_mod.greedy_corpus_bleu(m, lines, ["u"] * len(lines), src, MergeTable(), tgt,
+                                   "character")
+    segmented = [segment_line(line, "subword", MergeTable()) for line in lines]
+    source, lengths = pad_rows([src.encode(s) + [EOS_ID] for s in segmented])
+    caps = [default_max_len(len(s), "character") for s in segmented]
+    hyps = greedy_decode([m], source, lengths, caps)
+    assert len(lines) > model_mod.SEARCH_CHUNK and len(set(caps)) > 1
+    assert 0 < sum(h.truncated for h in hyps) < len(hyps)
+    assert scored_texts == [[hypothesis_text(h, tgt, "character") for h in hyps]]
